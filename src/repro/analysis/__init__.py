@@ -29,12 +29,12 @@ validation):
   :mod:`repro.fleet.admission` consumes at admit time.
 
 * **Prong 3 — the discipline linter** (:mod:`repro.analysis.lint`):
-  AST rules D1–D7 over ``src/repro`` enforcing the invariants the
+  AST rules D1–D8 over ``src/repro`` enforcing the invariants the
   simulator's determinism and calibration depend on (no wall-clock or
   unseeded randomness, observability read-only on the clock, ordered hash
   preimages, no blanket excepts, per-CPU cycle charging in fleet code,
   shared scheduler state committed only on the serial core-ordered
-  path), with a count-based ratchet (:mod:`repro.analysis.ratchet`) for
+  path, no definition nothing references), with a count-based ratchet (:mod:`repro.analysis.ratchet`) for
   grandfathered findings.
 
 CLI: ``python -m repro.analysis {verify,dataflow,lint,report}``.

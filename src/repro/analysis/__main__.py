@@ -14,7 +14,7 @@
     its expected dataflow check. ``--json`` writes the DataflowReport.
 
 ``lint``
-    Run rules D1–D7 over paths (default: the installed ``repro``
+    Run rules D1–D8 over paths (default: the installed ``repro``
     package), applying the in-tree ratchet. ``--update`` (alias
     ``--update-ratchet``) regenerates the ratchet from current findings,
     carrying existing rationales (D1/D2 never ratchetable). Exit 1 on
@@ -244,7 +244,7 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("--json", help="write the report JSON here")
     p.set_defaults(fn=_cmd_dataflow)
 
-    p = sub.add_parser("lint", help="run discipline rules D1-D7")
+    p = sub.add_parser("lint", help="run discipline rules D1-D8")
     p.add_argument("paths", nargs="*", help="files/dirs "
                    "(default: the repro package)")
     p.add_argument("--ratchet", help="ratchet file "

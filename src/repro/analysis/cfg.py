@@ -101,16 +101,6 @@ class ControlFlowGraph:
     def aligned(self, va: int) -> bool:
         return (va - self.section_va) % INSTR_SIZE == 0
 
-    def block_table(self) -> list[int]:
-        """Block-head VAs in ascending order.
-
-        This is the export the hardware translation cache consumes: each
-        entry names the start of one verified basic block, ready to be
-        pre-decoded into a superblock
-        (:meth:`repro.hw.translate.TranslationCache.preload`).
-        """
-        return sorted(self.blocks)
-
     def reachable_from(self, entry: int) -> set[int]:
         """Block VAs reachable from ``entry`` along recovered edges."""
         out: dict[int, list[int]] = {}

@@ -1,4 +1,4 @@
-"""The simulator-discipline linter (rules D1–D5).
+"""The simulator-discipline linter (rules D1–D8).
 
 The whole reproduction rests on invariants no unit test can state once and
 for all — determinism of the cycle ledger, the obs plane never spending
@@ -28,15 +28,6 @@ D4    blanket-except      bare ``except:`` and ``except Exception/
 D5    cpu-attribution     ``.charge`` calls in ``repro/fleet`` outside any
                           ``with clock.on_cpu(...):`` scope and without an
                           explicit ``# serial-section`` marker on the line
-D6    tcache-host-plane   any cycle-clock access from the translation cache
-                          (``repro/hw/translate.py``): ``.charge`` /
-                          ``.count`` / ``.fast_forward`` calls *and* reads
-                          of ``.cycles`` or ``.clock``. Superblock build and
-                          lookup are a host-speed plane; every charge they
-                          caused out of program order would skew the
-                          bit-exact ledger, so the module may not touch the
-                          clock at all — execution charges stay in
-                          ``Cpu._translated_burst``, in program order
 D7    fleet-commit-       mutations of scheduler/pool *shared* state
       discipline          (``queue``/``active``/``cores``/``finished``/
                           ``counts``/``slots``) from ``repro/fleet`` code
@@ -47,7 +38,19 @@ D7    fleet-commit-       mutations of scheduler/pool *shared* state
                           fixed interleaving seeded digests depend on),
                           or on a line marked ``# commit-path`` where the
                           serial order is established another way
+D8    unreferenced-def    a module-level function or class, or a method of
+                          a module-level class, whose name appears in no
+                          Python file of the checkout's :data:`D8_TREES`
+                          except at its own definition(s). Exempt: dunders,
+                          handler families dispatched by name (``_op_*``,
+                          ``sys_*``, ``_iter_*``) and every name API.md
+                          declares in a code span. D8 is cross-module, so
+                          only :func:`lint_paths` runs it, and only for
+                          files inside a checkout's ``src/``
 ====  ==================  ===================================================
+
+D6 is retired: it guarded a module that no longer exists. Its ID is not
+reused.
 
 Findings can be grandfathered through :mod:`repro.analysis.ratchet`; the
 tree itself ships lint-clean.
@@ -56,6 +59,8 @@ tree itself ships lint-clean.
 from __future__ import annotations
 
 import ast
+import re
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -66,12 +71,18 @@ RULES = {
     "D3": "ordered-preimage",
     "D4": "blanket-except",
     "D5": "cpu-attribution",
-    "D6": "tcache-host-plane",
     "D7": "fleet-commit-discipline",
+    "D8": "unreferenced-def",
 }
 
-#: modules bound by D6 (path suffixes): the translation-cache plane
-_D6_MODULES = ("repro/hw/translate.py",)
+#: checkout trees whose Python files count as references for D8
+D8_TREES = ("src", "tests", "benchmarks", "examples", "perfbench")
+_IDENT = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_DEF_NODES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+#: handler families looked up by name, never by a literal reference:
+#: ISA ops (``Cpu._dispatch``), syscalls (the kernel's ``@syscall``
+#: table and the LibOS shim's router) and lmbench iteration bodies
+_DISPATCHED_PREFIXES = ("_op_", "sys_", "_iter_")
 
 _WALL_CLOCK_TIME_ATTRS = frozenset({
     "time", "time_ns", "monotonic", "monotonic_ns",
@@ -232,7 +243,6 @@ def lint_source(source: str, path: str) -> list[LintFinding]:
     norm = path.replace("\\", "/")
     in_obs = "repro/obs/" in norm
     in_fleet = "repro/fleet/" in norm
-    in_tcache = any(norm.endswith(suffix) for suffix in _D6_MODULES)
     try:
         tree = ast.parse(source, filename=path)
     except SyntaxError as exc:
@@ -274,14 +284,6 @@ def lint_source(source: str, path: str) -> list[LintFinding]:
                     f"{blanket} swallows simulator faults indiscriminately"
                     " — catch the specific error types"))
             continue
-        if in_tcache and isinstance(node, ast.Attribute) and \
-                node.attr in ("cycles", "clock"):
-            findings.append(LintFinding(
-                "D6", norm, node.lineno,
-                f".{node.attr} read from the translation cache — superblock "
-                "build/lookup is a host-speed plane and may not observe "
-                "the cycle clock"))
-            continue
         if in_fleet and isinstance(node, (ast.Assign, ast.AugAssign)):
             targets = node.targets if isinstance(node, ast.Assign) \
                 else [node.target]
@@ -309,12 +311,6 @@ def lint_source(source: str, path: str) -> list[LintFinding]:
             findings.append(LintFinding("D3", norm, node.lineno, msg))
         if isinstance(node.func, ast.Attribute):
             attr = node.func.attr
-            if in_tcache and attr in _CLOCK_SPENDERS:
-                findings.append(LintFinding(
-                    "D6", norm, node.lineno,
-                    f".{attr}() from the translation cache — charges out of "
-                    "program order would skew the bit-exact ledger; leave "
-                    "all charging to the burst executor"))
             if in_obs and attr in _CLOCK_SPENDERS:
                 findings.append(LintFinding(
                     "D2", norm, node.lineno,
@@ -351,12 +347,83 @@ def _norm_rel(path: Path) -> str:
     return path.as_posix()
 
 
+def _checked_defs(tree: ast.Module):
+    """``(name, line)`` of the defs D8 checks: module-level functions and
+    classes plus the methods of module-level classes."""
+    for node in tree.body:
+        if not isinstance(node, _DEF_NODES):
+            continue
+        yield node.name, node.lineno
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, _DEF_NODES):
+                    yield sub.name, sub.lineno
+
+
+def _checkout_root(files: list[Path]) -> Path | None:
+    """The checkout holding ``files``: the parent of their ``src/``."""
+    for f in files:
+        for parent in f.resolve().parents:
+            if parent.name == "src":
+                return parent.parent
+    return None
+
+
+def unreferenced_defs(files: list[Path], root: Path) -> list[LintFinding]:
+    """D8 over ``files``, with the checkout at ``root`` as the corpus.
+
+    A name is referenced when it occurs in the corpus more often than it
+    is defined there (any nesting level), so a method defined by five
+    classes and called once keeps all five, and one never called
+    anywhere flags all five. Occurrences are identifier tokens of the
+    whole file text, so dynamic references by string count too.
+    """
+    corpus = {p.resolve() for tree in D8_TREES
+              for p in (root / tree).rglob("*.py")}
+    corpus |= {f.resolve() for f in files}
+    uses: Counter = Counter()
+    defined: Counter = Counter()
+    trees: dict[Path, ast.Module] = {}
+    for path in sorted(corpus):
+        text = path.read_text()
+        uses.update(_IDENT.findall(text))
+        try:
+            tree = ast.parse(text)
+        except SyntaxError:
+            continue            # D4 reports unparseable linted modules
+        defined.update(node.name for node in ast.walk(tree)
+                       if isinstance(node, _DEF_NODES))
+        trees[path] = tree
+    api = root / "API.md"
+    declared = set()
+    if api.exists():
+        for span in re.findall(r"`([^`]+)`", api.read_text()):
+            declared.update(_IDENT.findall(span))
+    findings = []
+    for f in files:
+        tree = trees.get(f.resolve())
+        if tree is None:
+            continue
+        for name, line in _checked_defs(tree):
+            if (name.startswith("__") and name.endswith("__")) or \
+                    name.startswith(_DISPATCHED_PREFIXES) or \
+                    name in declared or \
+                    uses[name] > defined[name]:
+                continue
+            findings.append(LintFinding(
+                "D8", _norm_rel(f), line,
+                f"{name} is referenced nowhere in {', '.join(D8_TREES)} "
+                "— delete it, call it, or declare it in API.md"))
+    return findings
+
+
 def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
                                                    list[LintFinding]]:
     """Lint files/trees; returns ``(kept, waived)`` after the ratchet.
 
     ``paths`` may mix files and directories; directories are walked for
-    ``*.py`` in sorted order so output ordering is deterministic.
+    ``*.py`` in sorted order so output ordering is deterministic. D8
+    runs when the files sit inside a checkout's ``src/`` tree.
     """
     from .ratchet import apply_ratchet
 
@@ -370,6 +437,10 @@ def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
     findings: list[LintFinding] = []
     for f in files:
         findings.extend(lint_source(f.read_text(), _norm_rel(f)))
+    root = _checkout_root(files)
+    if root is not None:
+        findings.extend(unreferenced_defs(files, root))
+        findings.sort(key=lambda f: (f.path, f.line, f.rule))
     if ratchet is None:
         return findings, []
     return apply_ratchet(findings, ratchet)

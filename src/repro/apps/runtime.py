@@ -45,12 +45,6 @@ class AppRuntime(ABC):
                      sync_every: int = 1) -> None: ...
 
     @abstractmethod
-    def fs_write_temp(self, path: str, data: bytes) -> None: ...
-
-    @abstractmethod
-    def fs_read(self, path: str, size: int) -> bytes: ...
-
-    @abstractmethod
     def recv_input(self) -> bytes | None: ...
 
     @abstractmethod
@@ -85,17 +79,6 @@ class LibOsRuntime(AppRuntime):
     def parallel_for(self, items, cycles_per_item, *, sync_every=1):
         self.libos.pool.parallel_for(items, cycles_per_item,
                                      sync_every=sync_every)
-
-    def fs_write_temp(self, path, data):
-        fd = self.libos.fs.open(path, create=True)
-        self.libos.fs.write(fd, data)
-        self.libos.fs.close(fd)
-
-    def fs_read(self, path, size):
-        fd = self.libos.fs.open(path)
-        data = self.libos.fs.read(fd, size)
-        self.libos.fs.close(fd)
-        return data
 
     def recv_input(self):
         return self.libos.recv_input()
@@ -165,18 +148,6 @@ class NativeRuntime(AppRuntime):
         remainder = wall - chunk * syncs
         if remainder > 0:
             self.kernel.advance(remainder, self.task)
-
-    def fs_write_temp(self, path, data):
-        fd = self.kernel.syscall(self.task, "open", path, create=True,
-                                 write=True, truncate=True)
-        self.kernel.syscall(self.task, "write", fd, data)
-        self.kernel.syscall(self.task, "close", fd)
-
-    def fs_read(self, path, size):
-        fd = self.kernel.syscall(self.task, "open", path)
-        data = self.kernel.syscall(self.task, "read", fd, size)
-        self.kernel.syscall(self.task, "close", fd)
-        return data
 
     def recv_input(self):
         fd = self.kernel.syscall(self.task, "open", DEBUGFS_IN)

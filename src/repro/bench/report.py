@@ -8,8 +8,6 @@ regeneration source.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 
 def format_table(title: str, headers: list[str],
                  rows: list[list[object]]) -> str:
@@ -38,21 +36,6 @@ def ratio(x: float, digits: int = 2) -> str:
 def mib(nbytes: int) -> str:
     """Format a byte count in whole MiB."""
     return f"{nbytes / (1024 * 1024):.0f}MiB"
-
-
-@dataclass
-class PaperValue:
-    """A published number for side-by-side comparison."""
-
-    value: float
-    unit: str = ""
-
-    def __str__(self) -> str:
-        if self.unit == "%":
-            return f"{self.value:.1f}%"
-        if self.unit == "x":
-            return f"{self.value:.2f}x"
-        return f"{self.value:g}{self.unit}"
 
 
 def check(flag: bool) -> str:

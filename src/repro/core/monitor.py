@@ -62,11 +62,6 @@ class EreborFeatures:
     ``dataflow_verifier`` gates the stage-3 abstract-interpretation plane
     (:mod:`repro.analysis.absint`, checks V8–V10) layered on the CFG
     pass; it is inert unless ``cfg_verifier`` is also on.
-
-    ``translation_cache`` gates the host-plane fast path only (superblock
-    dispatch + memoized MMU walks, :mod:`repro.hw.translate`): simulated
-    cycle ledgers, digests and certificates are byte-identical either
-    way; off exists for lockstep oracle tests and A/B speed benchmarks.
     """
 
     mmu_isolation: bool = True
@@ -74,7 +69,6 @@ class EreborFeatures:
     uarch_model: bool = True
     cfg_verifier: bool = True
     dataflow_verifier: bool = True
-    translation_cache: bool = True
 
 
 class MonitorStats:
@@ -359,19 +353,6 @@ class EreborMonitor:
         kernel.boot()
         self.machine.vmm.interrupt_sink = lambda vector: kernel.pump()
         self.machine.kernel = kernel
-        if self.cpu.tcache.enabled:
-            # CFG-keyed pre-translation: the StaticVerifier just proved
-            # the image decodes into well-formed basic blocks, so each
-            # block head is decoded once into a superblock now instead of
-            # lazily at first execution (host-plane only; blocks whose
-            # VAs the kernel has not mapped are skipped).
-            from ..hw.errors import InvalidOpcode
-            for section in image.executable_sections():
-                try:
-                    self.cpu.tcache.preload(kernel.kernel_aspace,
-                                            section.va, section.data)
-                except InvalidOpcode:
-                    pass
         return kernel
 
     # ------------------------------------------------------------------ #

@@ -131,13 +131,6 @@ class NestedMmu:
             self.template_frames[fn] = name
             self.phys.frame(fn).owner = f"template:{name}"
 
-    def release_template(self, name: str) -> list[int]:
-        """Drop a template's frames from the registry; returns them."""
-        frames = [fn for fn, t in self.template_frames.items() if t == name]
-        for fn in frames:
-            del self.template_frames[fn]
-        return frames
-
     def create_common_region(self, name: str, frames: list[int],
                              initializer: int | None) -> CommonRegion:
         if name in self.common_regions:
@@ -225,12 +218,6 @@ class NestedMmu:
                 f"writable mapping of frame {fn:#x} refused")
         if region is not None and pte & PTE_P:
             region.mappings.append((aspace, va & ~0xFFF))
-
-    def _region_of(self, fn: int) -> CommonRegion | None:
-        owner = self.phys.frame(fn).owner
-        if owner.startswith("common:"):
-            return self.common_regions.get(owner.split(":", 1)[1])
-        return None
 
     # ------------------------------------------------------------------ #
     # huge pages and forced splitting (paper §7 future work)

@@ -82,7 +82,3 @@ class ShadowStackManager:
         token = self.stack_for(nxt)
         cet.activate_shadow_stack(kernel.cpu, aspace, token, phys)
         self.active[cpu_id] = token
-
-    def release_task(self, task: "Task") -> None:
-        """A task died: retire its stack (frames stay monitor-owned)."""
-        self._token_by_pid.pop(task.pid, None)

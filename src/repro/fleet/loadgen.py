@@ -117,8 +117,8 @@ class FleetReport:
     #: simulated cycle went, conservation-verified. OUTSIDE the digest
     #: preimage — capture reads the clock, never moves it
     ledger: dict = field(default_factory=dict)
-    #: translation-cache effectiveness (TLB hit rate, superblock
-    #: coverage): host-plane counters, metrics-only, never digested
+    #: MMU TLB effectiveness (hits, misses, hit rate): host-plane
+    #: counters, metrics-only, never digested
     translation: dict = field(default_factory=dict)
 
     @property
@@ -260,8 +260,10 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
 
     ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
     through to :func:`~repro.core.boot.erebor_boot` when this call boots
-    its own system — e.g. ``translation_cache=False`` runs the fully
-    interpreted simulator for A/B digest checks.
+    its own system. To run the reference path that re-walks every
+    access, clear ``machine.cpu.mmu.tlb_enabled`` and
+    ``machine.phys.psc_enabled`` from ``instrument``; the seeded digests
+    are identical either way.
 
     ``static_budget_admission`` plugs the boot-time V10
     :class:`~repro.analysis.absint.StaticBudget` into the admission
@@ -325,18 +327,15 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         wall_t0 = clock.wall_cycles
         busy_t0 = [clock.cpu_busy(c) for c in range(scheduler.n_cpus)]
         cpu0 = system.machine.cpu
-        tlb_t0, sb_t0 = cpu0.mmu.tlb_hits, cpu0.tcache.sb_exec
+        tlb_t0 = cpu0.mmu.tlb_hits
         finished = scheduler.run(sessions)
         serve_cycles = clock.cycles - serve_t0
         serve_wall_cycles = clock.wall_cycles - wall_t0
-        # host-plane cache statistics: exported as metrics only, never
+        # host-plane TLB statistics: exported as a metric only, never
         # part of the report digest preimage
         if cpu0.mmu.tlb_hits > tlb_t0:
             clock.metrics.inc("erebor_sim_tlb_hits_total",
                               cpu0.mmu.tlb_hits - tlb_t0)
-        if cpu0.tcache.sb_exec > sb_t0:
-            clock.metrics.inc("erebor_sim_superblock_exec_total",
-                              cpu0.tcache.sb_exec - sb_t0)
         core_busy = [clock.cpu_busy(c) - busy_t0[c]
                      for c in range(scheduler.n_cpus)]
 
@@ -391,7 +390,7 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     if getattr(recorder, "dumps", None) is not None:
         report.flight = {"triggers": recorder.triggers,
                          "dumps": len(recorder.dumps)}
-    # plane-attribution budget + translation-cache effectiveness: both
+    # plane-attribution budget + TLB effectiveness: both
     # read-only on the clock/counters, both outside the digest preimage
     from ..obs.ledger import capture_ledger
     report.ledger = capture_ledger(clock, system.machine)

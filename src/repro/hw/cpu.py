@@ -39,7 +39,6 @@ from .isa import INSTR_SIZE, Instr, decode_cached
 from .memory import PhysicalMemory
 from .mmu import KERNEL_MODE, USER_MODE, AccessContext, Mmu
 from .paging import AddressSpace
-from .translate import TranslationCache
 
 
 class CpuHalt(Exception):
@@ -133,17 +132,14 @@ class Cpu:
         self._halted = False
         self._delivering = False
 
-        # Handler/cost table, precomputed once: step() and the
-        # translation cache both dispatch through it instead of paying
-        # getattr(self, f"_op_{op}") + _OP_COSTS.get per instruction.
+        # Handler/cost table, precomputed once: step() dispatches
+        # through it instead of paying getattr(self, f"_op_{op}") +
+        # _OP_COSTS.get per instruction.
         self._dispatch: dict[str, tuple[Callable, int]] = {
             name[4:]: (getattr(self, name),
                        _OP_COSTS.get(name[4:], Cost.ALU))
             for name in dir(type(self)) if name.startswith("_op_")
         }
-        self.tcache = TranslationCache(self)
-        #: instructions retired by an aborted burst (see _translated_burst)
-        self._burst_retired = 0
         #: reusable access contexts (see access_ctx)
         self._ctx = AccessContext()
         self._ss_ctx = AccessContext(shadow_stack_op=True)
@@ -226,12 +222,7 @@ class Cpu:
     # ------------------------------------------------------------------ #
 
     def step(self) -> Instr:
-        """Fetch, decode and execute one instruction; returns it.
-
-        This is the *oracle*: the translation cache's fast path must be
-        observationally identical to a `step` loop (lockstep equivalence
-        tests enforce it per instruction).
-        """
+        """Fetch, decode and execute one instruction; returns it."""
         blob = self.mmu.fetch(self.aspace, self.rip, INSTR_SIZE, self.access_ctx())
         instr = decode_cached(blob)
         if self._ibt_wait and self.ibt_enabled:
@@ -254,107 +245,6 @@ class Cpu:
             self.rip = override
         return instr
 
-    def _step_counted(self) -> int:
-        """One interpreted step inside a translated burst.
-
-        Mirrors the single-step loop's fault contract: on any hardware
-        fault the retired count includes the faulting attempt and ``rip``
-        is left at the faulting instruction for delivery.
-        """
-        va = self.rip
-        try:
-            self.step()
-        except CpuHalt:
-            self._burst_retired = 1
-            raise
-        except HardwareFault:
-            self._burst_retired = 1
-            self.rip = va
-            raise
-        return 1
-
-    def _translated_burst(self, budget: int) -> int:
-        """Retire up to ``budget`` instructions through the superblock cache.
-
-        Equivalent to repeated :meth:`step` by construction:
-
-        * in-block dispatch charges the same cost from the same handler
-          table, in program order — runs of ``PURE_OPS`` fuse their
-          charges into one (consecutive same-tag charges with no
-          observer between them commute exactly, and pure handlers
-          never read the clock, ``rip``, or memory);
-        * the witness is re-validated after every memory-writing
-          instruction (only those can change witnessed bytes mid-block;
-          mode/CR changes and interrupt delivery can only happen at
-          block boundaries, where :meth:`TranslationCache.acquire`
-          performs the real fetch check);
-        * IBT arming, page-straddling fetches, undecodable bytes and
-          stale blocks drop to `step` itself, byte-for-byte.
-
-        Returns the number of instructions retired. On a hardware fault
-        ``self._burst_retired`` carries the count (including the faulting
-        attempt) and ``rip`` points at the faulting instruction.
-        """
-        if self._ibt_wait:
-            return self._step_counted()
-        va = self.rip
-        try:
-            sb = self.tcache.acquire(va)
-        except CpuHalt:  # pragma: no cover - acquire cannot halt
-            self._burst_retired = 1
-            raise
-        except HardwareFault:
-            self._burst_retired = 1   # the faulting fetch counts as a step
-            raise
-        if sb is None:
-            return self._step_counted()
-        entries = sb.entries
-        total = len(entries)
-        if budget < total:
-            # budget tail: retire exactly one instruction, interpreted —
-            # identical charges, one extra (architecturally idempotent)
-            # fetch check
-            return self._step_counted()
-        done = 0
-        charge = self.clock.charge
-        tcache = self.tcache
-        for kind, cost, ops in sb.segments:
-            if kind == 0:                      # SEG_PURE: fused run
-                charge(cost, "instr")
-                tcache.sb_exec += len(ops)
-                tcache.sb_cycles += cost
-                override = None
-                for instr, handler in ops:
-                    override = handler(instr)
-                done += len(ops)
-                self.rip = va + done * INSTR_SIZE
-                if override is not None:
-                    self.rip = override
-                    return done
-            else:                              # singleton segment
-                instr, handler = ops[0]
-                charge(cost, "instr")
-                tcache.sb_exec += 1
-                tcache.sb_cycles += cost
-                iva = va + done * INSTR_SIZE
-                self.rip = iva + INSTR_SIZE
-                try:
-                    override = handler(instr)
-                except CpuHalt:
-                    self._burst_retired = done + 1
-                    raise
-                except HardwareFault:
-                    self._burst_retired = done + 1
-                    self.rip = iva
-                    raise
-                done += 1
-                if override is not None:
-                    self.rip = override
-                    return done
-                if kind == 2 and done < total and not sb.fresh():
-                    return done   # witness died mid-block: re-acquire
-        return done
-
     def run(self, max_steps: int = 100_000, *, deliver_faults: bool = True) -> int:
         """Run until ``hlt``; optionally vector faults through the IDT.
 
@@ -365,22 +255,8 @@ class Cpu:
         """
         steps = 0
         self._halted = False
-        translated = self.tcache.enabled
         with self.clock.on_cpu(self.cpu_id):
             while not self._halted and steps < max_steps:
-                if translated:
-                    try:
-                        steps += self._translated_burst(max_steps - steps)
-                    except CpuHalt:
-                        self._halted = True
-                        steps += self._burst_retired
-                    except HardwareFault as fault:
-                        steps += self._burst_retired
-                        if not deliver_faults:
-                            raise
-                        # rip already points at the faulting instruction
-                        self.deliver(fault.vector, fault=fault)
-                    continue
                 start_rip = self.rip
                 try:
                     self.step()
@@ -395,11 +271,6 @@ class Cpu:
         if steps >= max_steps and not self._halted:
             raise SimulatorError(f"run() exceeded {max_steps} steps (livelock?)")
         return steps
-
-    @property
-    def cycle_position(self) -> int:
-        """This core's wall position on the shared machine clock."""
-        return self.clock.cpu_cycles(self.cpu_id)
 
     # ------------------------------------------------------------------ #
     # interrupt / exception delivery

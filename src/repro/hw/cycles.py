@@ -262,11 +262,6 @@ class CycleClock:
         self.ensure_cpus(cpu_id + 1)
         return _CpuScope(self, cpu_id)
 
-    @property
-    def current_cpu(self) -> int | None:
-        """The executing core, or ``None`` inside a serial section."""
-        return self._cpu_stack[-1] if self._cpu_stack else None
-
     def charge(self, n: int, tag: str | None = None) -> None:
         """Advance the clock by ``n`` cycles, attributing them to ``tag``."""
         if n < 0:

@@ -139,9 +139,3 @@ class VirtualizationException(HardwareFault):
         self.exit_reason = exit_reason
         self.exit_qualification = exit_qualification
         super().__init__(description or f"reason={exit_reason}")
-
-
-class MachineCheck(HardwareFault):
-    """#MC — fatal hardware integrity error (e.g. TDX memory poisoning)."""
-
-    vector = 18

@@ -49,9 +49,6 @@ class Frame:
             through shadow-stack operations, per the SDM's
             "non-writable-but-dirty" encoding).
         data: lazily-allocated byte contents.
-        version: bumped on every byte mutation (write / zero / free).
-            Host-plane staleness witness for the MMU TLB and the
-            translation cache — never consulted by simulated semantics.
     """
 
     fn: int
@@ -59,7 +56,6 @@ class Frame:
     is_page_table: bool = False
     is_shadow_stack: bool = False
     data: bytearray | None = field(default=None, repr=False)
-    version: int = 0
 
     def materialize(self) -> bytearray:
         if self.data is None:
@@ -84,8 +80,8 @@ class PhysicalMemory:
         self._freed: list[int] = []
         #: gates the paging-structure cache of every AddressSpace over this
         #: memory (host-plane walk memoization; see AddressSpace.leaf_slot).
-        #: Cleared by boot when EreborFeatures.translation_cache is off so
-        #: the cache-off configuration interprets every walk.
+        #: Cleared (together with ``Mmu.tlb_enabled``) to select the
+        #: reference path that re-walks every access.
         self.psc_enabled = True
 
     # ------------------------------------------------------------------ #
@@ -161,7 +157,6 @@ class PhysicalMemory:
             f.is_page_table = False
             f.is_shadow_stack = False
             f.data = None
-            f.version += 1
 
     def owned_by(self, owner: str) -> list[int]:
         return [fn for fn, f in self.frames.items() if f.owner == owner]
@@ -193,7 +188,6 @@ class PhysicalMemory:
             frame = self.frame(fn)
             buf = frame.materialize()
             buf[off:off + chunk] = data[off_in:off_in + chunk]
-            frame.version += 1
             pa += chunk
             off_in += chunk
 
@@ -221,7 +215,6 @@ class PhysicalMemory:
             if data is None:
                 data = frame.materialize()
             data[off:off + 8] = value.to_bytes(8, "little")
-            frame.version += 1
             return
         self.write(pa, value.to_bytes(8, "little"))
 
@@ -229,7 +222,6 @@ class PhysicalMemory:
         f = self.frame(fn)
         if f.data is not None:
             f.data = bytearray(PAGE_SIZE)
-        f.version += 1
 
     # ------------------------------------------------------------------ #
     # accounting

@@ -202,9 +202,8 @@ class AddressSpace:
         paging-structure-cache record that witnesses the walk.
 
         The record is the tuple documented on ``_psc``: the interior
-        entries' byte images plus the frames holding them. A consumer
-        (the MMU TLB, the translation cache) revalidates a memoized
-        translation by re-comparing those bytes — any remap, table
+        entries' byte images plus the frames holding them. The MMU TLB
+        revalidates a memoized translation by re-comparing those bytes — any remap, table
         teardown or frame reuse that could change the walk changes the
         compared bytes, while unrelated traffic (neighbour PTE writes,
         A/D maintenance) leaves them untouched.

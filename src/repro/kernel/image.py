@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from ..hw import regs
-from ..hw.isa import I, Instr, assemble, disassemble
+from ..hw.isa import I, Instr, assemble
 
 MAGIC = b"SELF\x01"
 
@@ -170,8 +170,3 @@ def build_kernel_image(*, instrumented_text: bytes | None = None,
     if extra_sections:
         sections += extra_sections
     return SelfImage("vmlinux-sim", KERNEL_TEXT_VA, sections)
-
-
-def image_text_instrs(image: SelfImage) -> list[Instr]:
-    """Disassemble an image's .text (helper for instrumentation/tests)."""
-    return disassemble(image.section(".text").data)

@@ -129,6 +129,3 @@ class MemFs:
         """Session cleanup: drop all temporary state."""
         self._files = {p: f for p, f in self._files.items() if f.read_only}
         self._fds.clear()
-
-    def total_bytes(self) -> int:
-        return sum(f.size for f in self._files.values())

@@ -25,8 +25,7 @@ callers use ``sort_keys=True``). Two same-seed runs must compare clean —
 ``divergent: false`` with every simulated section empty — which is what
 the ``perf-gate`` CI job asserts on every push.
 
-Host-plane quantities (seconds, TLB hit rates, superblock coverage)
-appear in the report but never flip ``divergent``: they are noise-gated
+Host-plane quantities (seconds, TLB hit rates) appear in the report but never flip ``divergent``: they are noise-gated
 by :func:`gate_history` thresholds instead.
 """
 

@@ -34,7 +34,7 @@ class ObservedRun:
     result: RunResult
     clock: object          # the machine's CycleClock
     #: the machine itself, when the harness saw it — lets the budget
-    #: ledger carve superblock cycles and attach translation stats
+    #: ledger attach the TLB statistics
     machine: object = None
 
 

@@ -13,10 +13,9 @@ simulated cycle and every pinned fleet digest stays byte-identical.
 
 Why it exists: the simulated ledger says *what the modeled hardware paid*;
 it says nothing about where the *host* burns wall-time running the model.
-The translation-cache roadmap item is justified entirely by host time
-(interpreter fetch/decode dominating), and the obs plane's own emit path
-is the other known tax — neither is visible to any cycle-denominated
-profile. :class:`HostProfiler` answers both with low-overhead scoped
+Host-plane fast paths such as the MMU TLB are justified entirely by
+host time, and the obs plane's own emit path is another known tax —
+neither is visible to any cycle-denominated profile. :class:`HostProfiler` answers both with low-overhead scoped
 counters: it patches a small, fixed table of simulator entry points
 (:data:`SUBSYSTEMS` — interpreter fetch/decode, MMU walks, EMC gate
 dispatch, guest syscalls, AEAD crypto, pool scrub, tracer emit) with
@@ -52,11 +51,7 @@ from time import perf_counter  # D1-exempt: host attribution is the product
 #: already-imported call sites resolve the wrapper).
 SUBSYSTEMS: tuple[tuple[str, str, str], ...] = (
     ("cpu:fetch-decode", "repro.hw.cpu", "Cpu.step"),
-    ("cpu:superblock", "repro.hw.cpu", "Cpu._translated_burst"),
     ("cpu:run-loop", "repro.hw.cpu", "Cpu.run"),
-    ("tcache:acquire", "repro.hw.translate", "TranslationCache.acquire"),
-    ("tcache:build", "repro.hw.translate", "TranslationCache._build"),
-    ("tcache:preload", "repro.hw.translate", "TranslationCache.preload"),
     ("mmu:walk", "repro.hw.mmu", "Mmu.check"),
     ("mmu:leaf-path", "repro.hw.paging", "AddressSpace.leaf_path"),
     ("mmu:fetch", "repro.hw.mmu", "Mmu.fetch"),

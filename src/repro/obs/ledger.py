@@ -1,9 +1,8 @@
 """Plane-attribution budget ledger: where every cycle (and second) went.
 
-PR 8's translation cache won 12.6x on the cpu-bound arm but only 1.24x on
-the fleet arm, and the reason ("the demand-fault/macro plane dominates")
-had to be established by hand. This module makes that attribution a
-first-class, conservation-checked artifact: every simulated cycle a run
+Which plane dominates a run ("the demand-fault/macro plane", "the
+interpreter") should not have to be established by hand. This module
+makes that attribution a first-class, conservation-checked artifact: every simulated cycle a run
 charged is assigned to exactly one named **plane**, per execution lane
 (one lane per logical CPU plus the serial/barrier lane), and the sums are
 verified bit-exactly against the clock's own busy/wall ledgers.
@@ -25,11 +24,8 @@ charge tags onto it):
 ==============  =========================================================
 plane           what it prices
 ==============  =========================================================
-exec.interpret  interpreted instruction retirement (``instr`` minus the
-                superblock carve) plus macro compute loops
-exec.superblock superblock-burst retirement (``Cpu._translated_burst``
-                charges; carved out of ``instr`` via the per-core
-                ``TranslationCache.sb_cycles`` counter)
+exec.interpret  interpreted instruction retirement (``instr``) plus
+                macro compute loops
 mmu             checked data movement through :class:`~repro.hw.mmu.Mmu`
                 (the walk itself is uncharged; TLB-hit-vs-walk lives in
                 the host plane and the ``translation`` summary)
@@ -73,15 +69,12 @@ LEDGER_VERSION = 1
 
 #: the full plane taxonomy, in documentation order
 PLANES = (
-    "exec.interpret", "exec.superblock", "mmu", "fault", "emc", "privop",
+    "exec.interpret", "mmu", "fault", "emc", "privop",
     "transition", "sandbox", "sched", "scrub", "verify", "io",
     "mitigation", "obs", "other", "untagged",
 )
 
-#: clock charge tag → plane. ``instr`` lands in ``exec.interpret`` first
-#: and the superblock carve moves ``sb_cycles`` of it to
-#: ``exec.superblock`` (both charge sites use the same tag by design —
-#: the cache-on/off ``by_tag`` equality is test-pinned).
+#: clock charge tag → plane.
 TAG_PLANES = {
     "instr": "exec.interpret",
     "compute": "exec.interpret",
@@ -135,9 +128,6 @@ TAG_PLANES = {
 HOST_PLANES = {
     "cpu:fetch-decode": "exec.interpret",
     "cpu:run-loop": "exec.interpret",
-    "cpu:superblock": "exec.superblock",
-    "tcache:acquire": "exec.superblock",
-    "tcache:preload": "exec.superblock",
     "mmu:walk": "mmu",
     "mmu:leaf-path": "mmu",
     "mmu:fetch": "mmu",
@@ -159,30 +149,8 @@ HOST_PLANES = {
 }
 
 
-def plane_of(tag: str) -> str:
-    """The plane a clock charge tag belongs to (``"other"`` if unknown)."""
-    return TAG_PLANES.get(tag, "other")
-
-
 def _lane_name(lane: int) -> str:
     return "serial" if lane == SERIAL_LANE else f"cpu{lane}"
-
-
-def _superblock_cycles_by_lane(machine) -> dict[int, int]:
-    """Per-lane superblock-executed cycles from each core's tcache.
-
-    ``Cpu.run`` wraps execution in ``on_cpu(cpu_id)``, so a core's
-    ``sb_cycles`` counter and its ``instr`` lane charges line up exactly.
-    """
-    out: dict[int, int] = {}
-    if machine is None:
-        return out
-    for cpu in _machine_cpus(machine):
-        tcache = getattr(cpu, "tcache", None)
-        if tcache is not None and tcache.sb_cycles:
-            lane = getattr(cpu, "cpu_id", 0)
-            out[lane] = out.get(lane, 0) + tcache.sb_cycles
-    return out
 
 
 def _machine_cpus(machine) -> list:
@@ -200,11 +168,9 @@ def capture_ledger(clock, machine=None) -> dict:
     Returns a JSON-able dict (``check_ledger``-valid) with one entry per
     execution lane — busy cycles, the plane breakdown, and the raw tag
     breakdown — plus machine-wide plane totals and the verified
-    conservation block. Pass the machine to carve superblock-burst
-    execution out of the ``instr`` tag and to attach the translation
-    summary (TLB hit rate, superblock coverage).
+    conservation block. Pass the machine to attach the translation
+    summary (TLB hit rate).
     """
-    sb_by_lane = _superblock_cycles_by_lane(machine)
     busy = dict(clock.busy_by_cpu)
     lanes: dict[str, dict] = {}
     planes_total: dict[str, int] = {}
@@ -214,13 +180,6 @@ def capture_ledger(clock, machine=None) -> dict:
         for tag, cycles in tags.items():
             plane = TAG_PLANES.get(tag, "other")
             planes[plane] = planes.get(plane, 0) + cycles
-        carve = sb_by_lane.get(lane, 0)
-        if carve:
-            # within-lane move: conservation is untouched by construction
-            carve = min(carve, planes.get("exec.interpret", 0))
-            planes["exec.interpret"] -= carve
-            planes["exec.superblock"] = \
-                planes.get("exec.superblock", 0) + carve
         lane_total = sum(tags.values())
         lanes[_lane_name(lane)] = {
             "busy": lane_total if lane == SERIAL_LANE else busy.get(lane, 0),
@@ -245,7 +204,7 @@ def capture_ledger(clock, machine=None) -> dict:
     }
     ledger["conservation"] = verify_conservation(ledger)
     if machine is not None:
-        ledger["translation"] = translation_summary(machine, ledger)
+        ledger["translation"] = translation_summary(machine)
     return ledger
 
 
@@ -294,37 +253,23 @@ def verify_conservation(ledger: dict) -> dict:
             "violations": violations}
 
 
-def translation_summary(machine, ledger: dict | None = None) -> dict:
-    """Translation-cache effectiveness, host-plane only.
+def translation_summary(machine) -> dict:
+    """MMU TLB effectiveness, host-plane only.
 
-    TLB hit rate plus the superblock coverage fraction — the share of
-    execution-plane cycles retired through superblock bursts. Derived
-    from the same counters the fleet exports as
-    ``erebor_sim_tlb_hits_total`` / ``erebor_sim_superblock_exec_total``;
-    never part of any digest preimage.
+    Hits, misses and hit rate summed over the machine's cores — the same
+    counter the fleet exports as ``erebor_sim_tlb_hits_total``; never
+    part of any digest preimage.
     """
     tlb = {"tlb_hits": 0, "tlb_misses": 0, "tlb_hit_rate": 0.0}
-    sb = {"sb_exec": 0, "sb_builds": 0, "sb_hits": 0, "sb_cycles": 0}
     for cpu in _machine_cpus(machine):
         mmu = getattr(cpu, "mmu", None)
         if mmu is not None:
             for key, value in mmu.stats().items():
                 if key != "tlb_hit_rate":
                     tlb[key] += value
-        tcache = getattr(cpu, "tcache", None)
-        if tcache is not None:
-            for key, value in tcache.stats().items():
-                sb[key] += value
     walks = tlb["tlb_hits"] + tlb["tlb_misses"]
     tlb["tlb_hit_rate"] = round(tlb["tlb_hits"] / walks, 6) if walks else 0.0
-    coverage = 0.0
-    if ledger is not None:
-        planes = ledger.get("planes", {})
-        execute = (planes.get("exec.interpret", 0)
-                   + planes.get("exec.superblock", 0))
-        if execute:
-            coverage = round(planes.get("exec.superblock", 0) / execute, 6)
-    return {**tlb, **sb, "superblock_coverage": coverage}
+    return tlb
 
 
 def host_planes(hostprof_report: dict) -> dict:

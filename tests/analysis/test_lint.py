@@ -1,4 +1,4 @@
-"""Discipline-linter rules D1–D7 and the ratchet."""
+"""Discipline-linter rules D1–D8 and the ratchet."""
 
 from pathlib import Path
 
@@ -184,38 +184,7 @@ def test_tree_lints_clean_under_shipped_ratchet():
 
 
 def test_rule_table_is_complete():
-    assert list(RULES) == ["D1", "D2", "D3", "D4", "D5", "D6", "D7"]
-
-
-# --------------------------------------------------------------------------- #
-# D6: the translation cache is a host-speed plane
-# --------------------------------------------------------------------------- #
-
-TCACHE_PATH = "src/repro/hw/translate.py"
-
-
-def test_d6_flags_clock_spender_in_tcache():
-    src = "def build(self):\n    self.cpu.clock.charge(3, 'instr')\n"
-    findings = lint_source(src, TCACHE_PATH)
-    assert any(f.rule == "D6" for f in findings)
-
-
-def test_d6_flags_cycle_read_in_tcache():
-    src = "def fresh(self):\n    return self.cpu.clock.cycles > 0\n"
-    findings = lint_source(src, TCACHE_PATH)
-    assert any(f.rule == "D6" for f in findings)
-
-
-def test_d6_ignores_other_modules():
-    src = "def step(self):\n    self.clock.charge(1, 'instr')\n"
-    findings = lint_source(src, "src/repro/hw/cpu.py")
-    assert not any(f.rule == "D6" for f in findings)
-
-
-def test_d6_shipping_translate_module_is_clean():
-    source = Path(TCACHE_PATH).read_text()
-    findings = lint_source(source, TCACHE_PATH)
-    assert [f for f in findings if f.rule == "D6"] == []
+    assert list(RULES) == ["D1", "D2", "D3", "D4", "D5", "D7", "D8"]
 
 
 # --------------------------------------------------------------------------- #
@@ -335,3 +304,46 @@ def test_ratchet_file_bytes_are_stable(tmp_path):
     assert a.read_bytes() == b.read_bytes()
     keys = list(Ratchet.load(a).entries)
     assert keys == sorted(keys)
+
+
+# --------------------------------------------------------------------------- #
+# D8: every definition is referenced somewhere in the checkout
+# --------------------------------------------------------------------------- #
+
+def plant_checkout(root, module, test="", api=""):
+    """A minimal checkout: ``src/pkg/mod.py`` plus optional test/API."""
+    (root / "src" / "pkg").mkdir(parents=True)
+    (root / "src" / "pkg" / "mod.py").write_text(module)
+    if test:
+        (root / "tests").mkdir()
+        (root / "tests" / "test_mod.py").write_text(test)
+    if api:
+        (root / "API.md").write_text(api)
+    return root / "src"
+
+
+def test_d8_flags_planted_orphan(tmp_path):
+    src = plant_checkout(
+        tmp_path,
+        "def used_helper():\n    return 1\n\n\n"
+        "def orphan_helper():\n    return 2\n",
+        test="from pkg.mod import used_helper\n\n\n"
+             "def test_it():\n    assert used_helper() == 1\n")
+    kept, _ = lint_paths([src])
+    assert [(f.rule, f.line) for f in kept] == [("D8", 5)]
+    assert "orphan_helper" in kept[0].message
+
+
+def test_d8_passes_referenced_and_exempt_defs(tmp_path):
+    src = plant_checkout(
+        tmp_path,
+        "class Engine:\n"
+        "    def run(self):\n        return None\n\n"
+        "    def _op_nop(self):\n        return None\n\n"
+        "    def __repr__(self):\n        return 'Engine'\n\n\n"
+        "def declared_entry():\n    return Engine().run()\n",
+        test="from pkg.mod import Engine\n\n\n"
+             "def test_it():\n    assert Engine().run() is None\n",
+        api="| `declared_entry()` | public entry point |\n")
+    kept, _ = lint_paths([src])
+    assert kept == [], "\n".join(str(f) for f in kept)

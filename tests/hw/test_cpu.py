@@ -5,11 +5,14 @@ import pytest
 from repro.hw import regs
 from repro.hw.cpu import CpuHalt
 from repro.hw.errors import (
+    DivideError,
     GeneralProtectionFault,
     PageFault,
     VirtualizationException,
 )
-from repro.hw.isa import I
+from repro.hw.isa import INSTR_SIZE, I
+from repro.hw.memory import PAGE_SIZE
+from repro.hw.paging import PTE_P
 from repro.hw.testbench import (
     KERNEL_CODE_VA,
     KERNEL_DATA_VA,
@@ -303,3 +306,67 @@ def test_cycle_accounting_charges_instructions(m):
     before = m.clock.cycles
     m.run_kernel()
     assert m.clock.cycles > before
+
+
+# --------------------------------------------------------------------------- #
+# interpreter regressions: faulting-rip parking, page-straddling fetch
+# --------------------------------------------------------------------------- #
+
+@pytest.mark.parametrize("faulting, fault", [
+    (I("load", "rax", "rbx"), PageFault),     # rbx is unmapped
+    (I("div", "rax", "rcx"), DivideError),    # rcx is zero
+])
+def test_fault_parks_rip_on_the_faulting_instruction(m, faulting, fault):
+    """step() advances rip before the handler runs; a handler fault must
+    leave rip on the faulting instruction, raised or delivered."""
+    m.load_code(KERNEL_CODE_VA, [
+        I("movi", "rbx", imm=0xDEAD000), faulting, I("hlt"),
+    ])
+    faulting_va = KERNEL_CODE_VA + INSTR_SIZE
+    with pytest.raises(fault):
+        m.run_kernel()
+    assert m.cpu.rip == faulting_va
+
+    seen = []
+
+    def on_fault(cpu, vector, exc):
+        seen.append(cpu.rip)
+        cpu._halted = True
+
+    m.install_idt(py_handlers={fault.vector: on_fault})
+    m.run_kernel(deliver_faults=True)
+    assert seen == [faulting_va]
+
+
+STRADDLE_PAGE = 0x0050_0000
+#: three instructions whose second one straddles the page boundary
+STRADDLE_RIP = STRADDLE_PAGE + PAGE_SIZE - INSTR_SIZE - 4
+
+
+def _map_code_page(m, va, fn):
+    m.phys.frame(fn).materialize()
+    m.aspace.map_page(va, fn, PTE_P, 0)
+
+
+def test_fetch_straddling_pages_reads_both_mapped_frames(m):
+    """The two halves come from the frames the two pages map, which need
+    not be physically adjacent (here they are in reverse order)."""
+    low, _gap, high = (m.phys.alloc_frame("kernel") for _ in range(3))
+    _map_code_page(m, STRADDLE_PAGE, high)
+    _map_code_page(m, STRADDLE_PAGE + PAGE_SIZE, low)
+    m.write_phys(STRADDLE_RIP, b"".join(i.encode() for i in [
+        I("movi", "rbx", imm=5), I("movi", "rax", imm=0x1234), I("hlt"),
+    ]))
+    assert m.run_kernel(STRADDLE_RIP) == 3
+    assert (m.cpu.regs["rax"], m.cpu.regs["rbx"]) == (0x1234, 5)
+
+
+def test_fetch_straddling_into_unmapped_page_faults_on_that_instruction(m):
+    _map_code_page(m, STRADDLE_PAGE, m.phys.alloc_frame("kernel"))
+    m.write_phys(STRADDLE_RIP, I("movi", "rbx", imm=5).encode()
+                 + I("movi", "rax", imm=0x1234).encode()[:4])
+    with pytest.raises(PageFault) as exc_info:
+        m.run_kernel(STRADDLE_RIP)
+    assert exc_info.value.address == STRADDLE_PAGE + PAGE_SIZE
+    assert m.cpu.rip == STRADDLE_RIP + INSTR_SIZE
+    assert m.cpu.regs["rbx"] == 5

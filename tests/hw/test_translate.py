@@ -1,21 +1,21 @@
-"""Superblock translation cache: lockstep oracle + invalidation matrix.
+"""MMU TLB and paging-structure cache: lockstep oracle + invalidation matrix.
 
 Two obligations from the design:
 
 * **Lockstep oracle equivalence** — for every ISA opcode, a program run
-  with the translation cache / TLB / paging-structure cache *on* must be
-  observationally identical to the same program interpreted one `step()`
-  at a time with everything *off*: same registers, rip, flags, mode,
-  retired-step count, cycle total, per-tag ledger, event counters and
-  memory image. Faults (including faults delivered mid-superblock) must
-  land on the same instruction with the same state.
+  with the TLB and the paging-structure cache *on* must be
+  observationally identical to the same program run with both *off*,
+  re-walking the page tables on every access: same registers, rip,
+  flags, mode, retired-step count, cycle total, per-tag ledger, event
+  counters and memory image. Faults (including faults raised in the
+  middle of a straight-line run) must land on the same instruction with
+  the same state.
 
 * **Invalidation** — a cached translation must never outlive the bytes
   that justified it: PTE rewrites (mprotect-style downgrades, template
   seals), PTE clears, CoW-style frame replacement, pool scrub / slot
-  reuse, raw direct-map scribbles on paging structures, shadow-stack
-  flag flips and code-byte writes must all miss or fault exactly as a
-  fresh page walk would.
+  reuse, raw direct-map scribbles on paging structures and shadow-stack
+  flag flips must all miss or fault exactly as a fresh page walk would.
 """
 
 import pytest
@@ -54,7 +54,6 @@ def at(i):
 
 def make_machine(enabled, **kw):
     m = MicroMachine(**kw)
-    m.cpu.tcache.enabled = enabled
     m.cpu.mmu.tlb_enabled = enabled
     m.phys.psc_enabled = enabled
     return m
@@ -82,11 +81,11 @@ def snapshot(m):
 
 
 def lockstep(setup, *, run=None, expect=None):
-    """Run ``setup`` on a cache-off and a cache-on machine and compare.
+    """Run ``setup`` on a TLB-off and a TLB-on machine and compare.
 
     ``run`` defaults to ``m.cpu.run()`` (to hlt, faults raised).
     ``expect`` is an exception type both runs must raise.
-    Returns the (identical) snapshots' cache-on machine for extra asserts.
+    Returns the (identical) snapshots' TLB-on machine for extra asserts.
     """
     run = run or (lambda m: m.cpu.run(deliver_faults=False))
     results = []
@@ -285,33 +284,33 @@ def test_lockstep_hlt_from_user_mode_faults():
         m.cpu.mode = USER_MODE
         m.cpu.rip = USER_CODE_VA
     on = lockstep(setup, expect=GeneralProtectionFault)
-    # the fault rip points at the hlt itself, mid-block
+    # the fault rip points at the hlt itself, mid-run
     assert on.cpu.rip == USER_CODE_VA + INSTR_SIZE
 
 
 # --------------------------------------------------------------------------- #
-# lockstep oracle: faults delivered mid-superblock
+# lockstep oracle: faults raised mid-run
 # --------------------------------------------------------------------------- #
 
-MID_BLOCK_DIV0 = [
+MID_RUN_DIV0 = [
     I("movi", "rax", imm=9),
     I("movi", "rbx", imm=0),
     I("movi", "rdx", imm=7),
-    I("div", "rax", "rbx"),       # faults after the fused pure run
+    I("div", "rax", "rbx"),       # faults after three retired movi
     I("hlt"),
 ]
 
-MID_BLOCK_BAD_LOAD = [
+MID_RUN_BAD_LOAD = [
     I("movi", "rax", imm=0xDEAD_0000),   # unmapped
     I("movi", "rbx", imm=1),
-    I("load", "rcx", "rax"),             # #PF mid-block
+    I("load", "rcx", "rax"),             # #PF mid-run
     I("addi", "rbx", imm=2),
     I("hlt"),
 ]
 
 
 def test_divide_error_mid_superblock_raised():
-    on = lockstep(load_at_k(MID_BLOCK_DIV0), expect=DivideError)
+    on = lockstep(load_at_k(MID_RUN_DIV0), expect=DivideError)
     assert on.cpu.rip == at(3)           # rip parked on the div
 
 
@@ -319,23 +318,23 @@ def test_divide_error_mid_superblock_delivered():
     def setup(m):
         m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
         m.install_idt({0: HANDLER_VA})
-        m.load_code(K, MID_BLOCK_DIV0)
+        m.load_code(K, MID_RUN_DIV0)
         m.cpu.rip = K
     on = lockstep(setup, run=lambda m: m.cpu.run(deliver_faults=True))
     assert on.cpu.regs["r15"] == 1
 
 
 def test_page_fault_mid_superblock_raised():
-    on = lockstep(load_at_k(MID_BLOCK_BAD_LOAD), expect=PageFault)
+    on = lockstep(load_at_k(MID_RUN_BAD_LOAD), expect=PageFault)
     assert on.cpu.rip == at(2)           # rip parked on the load
-    assert on.cpu.regs["rbx"] == 1       # earlier pure run retired
+    assert on.cpu.regs["rbx"] == 1       # earlier instructions retired
 
 
 def test_page_fault_mid_superblock_delivered():
     def setup(m):
         m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
         m.install_idt({14: HANDLER_VA})
-        m.load_code(K, MID_BLOCK_BAD_LOAD)
+        m.load_code(K, MID_RUN_BAD_LOAD)
         m.cpu.rip = K
     on = lockstep(setup, run=lambda m: m.cpu.run(deliver_faults=True))
     assert on.cpu.regs["r15"] == 1
@@ -350,7 +349,7 @@ def test_fetch_fault_at_block_entry():
 
 
 # --------------------------------------------------------------------------- #
-# lockstep oracle: CET / IBT interactions with the burst path
+# lockstep oracle: CET / IBT
 # --------------------------------------------------------------------------- #
 
 def arm_ibt(m):
@@ -388,12 +387,12 @@ def test_lockstep_ibt_violation():
 
 
 # --------------------------------------------------------------------------- #
-# lockstep oracle: step budgets bisecting a superblock
+# lockstep oracle: step budgets
 # --------------------------------------------------------------------------- #
 
 @pytest.mark.parametrize("budget", [1, 2, 3, 4])
 def test_budget_tail_bisects_block(budget):
-    """run(max_steps=k) inside a block retires exactly k steps on both."""
+    """run(max_steps=k) mid-program retires exactly k steps on both."""
     program = PROGRAMS["alu"]
 
     def partial(m):
@@ -403,7 +402,7 @@ def test_budget_tail_bisects_block(budget):
 
     on = lockstep(load_at_k(program), run=partial)
     assert on.cpu.rip == at(budget)
-    # and resuming finishes identically (re-entry mid-block)
+    # and resuming finishes identically
     snaps = []
     for enabled in (False, True):
         m = make_machine(enabled)
@@ -416,7 +415,7 @@ def test_budget_tail_bisects_block(budget):
 
 
 def test_page_straddling_program_falls_back():
-    """A code run crossing the page boundary stays bit-exact."""
+    """A fetch straddling the page boundary stays bit-exact."""
     # 4096 % 12 == 4, so instruction 341 straddles pages 0 and 1
     program = [I("addi", "rax", imm=1) for _ in range(345)] + [I("hlt")]
     on = lockstep(load_at_k(program))
@@ -424,16 +423,15 @@ def test_page_straddling_program_falls_back():
 
 
 # --------------------------------------------------------------------------- #
-# lockstep oracle: self-modifying code through a mutator segment
+# lockstep oracle: self-modifying code
 # --------------------------------------------------------------------------- #
 
 def test_self_modifying_store_mid_block():
-    """A store into the block's own later bytes must be honoured.
+    """A store into the program's own later bytes must be honoured.
 
     The store rewrites the imm field of a movi further down the same
-    superblock; the witness (code-frame version) dies, the burst stops
-    at the mutator segment and the rebuilt block decodes the new bytes —
-    exactly what the interpreter's per-instruction fetch sees.
+    page through a TLB-cached data mapping; the next fetch of that
+    instruction must decode the new bytes on both machines.
     """
     w_va = 0x0050_0000
     patch_va = w_va + 4 * INSTR_SIZE + 4    # imm field of instruction 4
@@ -455,58 +453,6 @@ def test_self_modifying_store_mid_block():
 
     on = lockstep(setup)
     assert on.cpu.regs["rcx"] == 2
-
-
-# --------------------------------------------------------------------------- #
-# superblock invalidation: code/PTE witnesses
-# --------------------------------------------------------------------------- #
-
-def test_preload_builds_and_run_hits():
-    m = make_machine(True)
-    m.load_code(K, PROGRAMS["back_loop"])
-    assert m.cpu.tcache.sb_builds > 0
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.tcache.sb_hits > 0
-    assert m.cpu.tcache.sb_exec > 0
-
-
-def test_disabled_cache_retires_nothing_from_blocks():
-    m = make_machine(False)
-    m.load_code(K, PROGRAMS["back_loop"])
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.tcache.sb_exec == 0
-    assert m.cpu.mmu.tlb_hits == 0
-
-
-def test_code_byte_write_invalidates_block():
-    m = make_machine(True)
-    m.load_code(K, [I("movi", "rax", imm=1), I("hlt")])
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.regs["rax"] == 1
-    # hot-patch the immediate through the loader (bumps Frame.version)
-    m.write_phys(K, I("movi", "rax", imm=99).encode())
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.regs["rax"] == 99
-
-
-def test_code_page_remap_invalidates_block():
-    m = make_machine(True)
-    m.load_code(K, [I("movi", "rax", imm=1), I("hlt")])
-    m.cpu.rip = K
-    m.cpu.run()
-    # CoW-style replacement: a different frame with different code
-    new_fn = m.phys.alloc_frame("kernel")
-    buf = m.phys.frame(new_fn).materialize()
-    blob = b"".join(i.encode() for i in [I("movi", "rax", imm=7), I("hlt")])
-    buf[:len(blob)] = blob
-    m.aspace.map_page(K, new_fn, PTE_P, 0)
-    m.cpu.rip = K
-    m.cpu.run()
-    assert m.cpu.regs["rax"] == 7
 
 
 # --------------------------------------------------------------------------- #

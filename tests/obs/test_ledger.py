@@ -8,8 +8,7 @@ The contract under test (DESIGN §8):
   plane armed (certificates, SLO, anomaly, flight recorder);
 * capturing a ledger is read-only: pinned digests are byte-identical
   whether or not a ledger was ever captured;
-* the superblock carve splits ``instr`` into interpret vs burst cycles
-  without touching conservation (it moves cycles within one lane).
+* interpreted ISA execution lands wholly in the ``exec.interpret`` plane.
 """
 
 import pytest
@@ -171,7 +170,7 @@ def test_verify_conservation_flags_corruption():
         check_ledger(ledger)
 
 
-def test_superblock_carve_moves_cycles_within_the_exec_plane():
+def test_isa_run_lands_wholly_in_exec_interpret():
     from repro.hw.testbench import KERNEL_CODE_VA, MicroMachine
     from repro.hw.isa import I
     m = MicroMachine()
@@ -179,34 +178,13 @@ def test_superblock_carve_moves_cycles_within_the_exec_plane():
         + [I("hlt")]
     m.load_code(KERNEL_CODE_VA, body)
     m.cpu.rip = KERNEL_CODE_VA
-    m.cpu.run(deliver_faults=False)
-    assert m.cpu.tcache.sb_cycles > 0
+    steps = m.cpu.run(deliver_faults=False)
     ledger = capture_ledger(m.clock, m)
     check_ledger(ledger)
-    planes = ledger["lanes"]["cpu0"]["planes"]
-    assert planes["exec.superblock"] == m.cpu.tcache.sb_cycles
-    # the carve never changes the lane total: instr tag == carve + rest
-    tags = ledger["lanes"]["cpu0"]["tags"]
-    assert (planes.get("exec.interpret", 0) + planes["exec.superblock"]
-            == tags["instr"])
-    assert ledger["conservation"]["ok"]
-    assert ledger["translation"]["superblock_coverage"] > 0
-
-
-def test_interpreted_run_has_zero_superblock_plane():
-    from repro.hw.testbench import KERNEL_CODE_VA, MicroMachine
-    from repro.hw.isa import I
-    m = MicroMachine()
-    m.cpu.tcache.enabled = False
-    body = [I("movi", "rax", imm=0)] + [I("addi", "rax", imm=1)] * 30 \
-        + [I("hlt")]
-    m.load_code(KERNEL_CODE_VA, body)
-    m.cpu.rip = KERNEL_CODE_VA
-    m.cpu.run(deliver_faults=False)
-    ledger = capture_ledger(m.clock, m)
-    planes = ledger["lanes"]["cpu0"]["planes"]
-    assert "exec.superblock" not in planes
-    assert planes["exec.interpret"] > 0
+    lane = ledger["lanes"]["cpu0"]
+    assert lane["tags"] == {"instr": lane["busy"]}
+    assert lane["planes"] == {"exec.interpret": lane["busy"]}
+    assert steps == 32 and lane["busy"] > 0
     assert ledger["conservation"]["ok"]
 
 
