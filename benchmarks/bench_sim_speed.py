@@ -14,9 +14,9 @@ bench pins that contract and commits the evidence to
   the speedups reported, not asserted: host timing on shared machines
   is too noisy to gate, and the simulated half is what must not move.
 
-The off arm clears ``mmu.tlb_enabled`` and ``phys.psc_enabled`` — on
-the micro machine directly, on a fleet through ``run_fleet(instrument=)``,
-which runs before boot.
+The off arm clears ``phys.walk_caches_enabled`` (the one switch of the
+TLB and the paging-structure cache) — on the micro machine directly, on
+a fleet through ``run_fleet(instrument=)``, which runs before boot.
 """
 
 import json
@@ -60,8 +60,7 @@ LOOPS = 20_000
 
 
 def set_tlb(machine, enabled: bool) -> None:
-    machine.cpu.mmu.tlb_enabled = enabled
-    machine.phys.psc_enabled = enabled
+    machine.phys.walk_caches_enabled = enabled
 
 
 def tlb_arm(enabled: bool):

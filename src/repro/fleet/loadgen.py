@@ -223,9 +223,9 @@ class FleetReport:
 
 
 def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
-              requests: int = 2, pool_size: int = 2, low_watermark: int = 1,
+              requests: int = 2, pool_size: int = 2,
               tenants: int = 2, seed: int = 2025, scale: float = 0.1,
-              n_cpus: int = 1, queue_depth: int | None = None,
+              n_cpus: int = 1,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
@@ -261,9 +261,8 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
     through to :func:`~repro.core.boot.erebor_boot` when this call boots
     its own system. To run the reference path that re-walks every
-    access, clear ``machine.cpu.mmu.tlb_enabled`` and
-    ``machine.phys.psc_enabled`` from ``instrument``; the seeded digests
-    are identical either way.
+    access, clear ``machine.phys.walk_caches_enabled`` from
+    ``instrument``; the seeded digests are identical either way.
 
     ``static_budget_admission`` plugs the boot-time V10
     :class:`~repro.analysis.absint.StaticBudget` into the admission
@@ -305,11 +304,9 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         work = make_workload(workload, seed=seed, scale=scale)
         template = SandboxTemplate.capture(system, work)
         pool = WarmPool(system, template,
-                        pool_config or PoolConfig(size=pool_size,
-                                                  low_watermark=low_watermark))
+                        pool_config or PoolConfig(size=pool_size))
         pool_size = len(pool.slots)
-        config = admission or AdmissionConfig(
-            queue_depth=queue_depth if queue_depth is not None else clients)
+        config = admission or AdmissionConfig(queue_depth=clients)
         if static_budget_admission:
             report = system.monitor.kernel_dataflow_report
             if report is None:

@@ -15,8 +15,9 @@ explicit cycle ledger:
 * all macro results (LMBench, workloads, server throughput) are derived
   from the same constants plus *counted* events — no per-figure tuning.
 
-The clock also keeps per-tag cycle counters and event counters so the
-benchmark harness can regenerate Table 6's exit/EMC rate columns.
+The clock also keeps per-lane tag and event ledgers so the benchmark
+harness can regenerate Table 6's exit/EMC rate columns; machine-wide
+per-tag and per-event totals are sums over those lanes.
 
 **SMP accounting.** One machine has one clock, but every logical CPU
 carries its own position on it. Work charged inside an :meth:`~CycleClock.on_cpu`
@@ -32,7 +33,7 @@ every calibrated single-core number is unchanged.
 
 from __future__ import annotations
 
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 
 from ..obs.metrics import NULL_METRICS
@@ -42,8 +43,9 @@ from ..obs.trace import NULL_TRACER
 #: Simulated core frequency (Hz); matches the paper's 2.1 GHz Xeon 8570.
 CPU_FREQ_HZ = 2_100_000_000
 
-#: :attr:`CycleClock.tags_by_cpu` lane key for serial-section charges
-#: (and single-core charges outside any :meth:`CycleClock.on_cpu` scope)
+#: lane key of :attr:`CycleClock.tags_by_cpu` and
+#: :attr:`CycleClock.events_by_cpu` for serial-section work (and
+#: single-core work outside any :meth:`CycleClock.on_cpu` scope)
 SERIAL_LANE = -1
 
 
@@ -192,11 +194,19 @@ class _CpuScope:
 
 @dataclass
 class CycleClock:
-    """Monotonic simulated cycle counter with tagged sub-ledgers.
+    """Monotonic simulated cycle counter with per-lane tag/event ledgers.
 
     The clock is shared by every component of one simulated machine. Tags
     let the harness attribute time (e.g. ``"emc"``, ``"pagefault"``) and
     events let it report rates (Table 6 columns such as ``EMC/s``).
+
+    Each fact is stored once. A *lane* is one logical CPU, or
+    :data:`SERIAL_LANE` for serial/barrier sections and single-core work
+    outside any :meth:`on_cpu` scope. The clock stores two positions
+    (:attr:`cycles`, :attr:`per_cpu`) and two lane ledgers
+    (:attr:`tags_by_cpu`, :attr:`events_by_cpu`); the machine-wide
+    :attr:`by_tag` and :attr:`events` totals and each core's busy cycles
+    (:meth:`cpu_busy`) are derived from the lanes on read.
 
     The clock also carries the machine's observability sinks: ``tracer``
     (spans/events timestamped in simulated cycles) and ``metrics`` (the
@@ -211,27 +221,21 @@ class CycleClock:
     serial-section barrier semantics.
     """
 
+    #: serial total: every cycle charged, on any lane
     cycles: int = 0
-    by_tag: Counter = field(default_factory=Counter)
-    events: Counter = field(default_factory=Counter)
     tracer: object = NULL_TRACER
     metrics: object = NULL_METRICS
-    #: wall position of each logical CPU (index = cpu_id)
+    #: wall position of each logical CPU (index = cpu_id); barriers and
+    #: :meth:`fast_forward` move it, so it is not a sum of charges
     per_cpu: list[int] = field(default_factory=lambda: [0])
-    #: cycles charged while each CPU was the executing core (busy work;
-    #: serial sections are excluded — they belong to no single core)
-    busy_by_cpu: Counter = field(default_factory=Counter)
-    #: lane-resolved tag ledgers: executing cpu id (or :data:`SERIAL_LANE`
-    #: for serial/barrier sections and single-core unscoped charges) →
-    #: ``{tag: cycles}``. Untagged charges land under ``"untagged"`` here
-    #: (never in :attr:`by_tag`, which keeps its historical contents).
-    #: Maintained in the same branch as the busy accounting, so for every
-    #: cpu lane ``sum(tags_by_cpu[cpu].values()) == busy_by_cpu[cpu]``
-    #: bit-exactly — the conservation invariant the budget ledger
-    #: (:mod:`repro.obs.ledger`) verifies and exports.
+    #: lane → ``{tag: cycles}``. Untagged charges land under
+    #: ``"untagged"`` (left out of :attr:`by_tag`). A cpu lane's sum is
+    #: that core's busy cycles and all lanes sum to :attr:`cycles` — the
+    #: conservation invariant the budget ledger (:mod:`repro.obs.ledger`)
+    #: verifies and exports.
     tags_by_cpu: dict = field(default_factory=dict)
-    #: per-CPU event ledgers (only events counted inside an on_cpu scope)
-    events_by_cpu: dict = field(default_factory=dict)
+    #: lane → ``Counter({event: n})``
+    events_by_cpu: dict = field(default_factory=lambda: defaultdict(Counter))
     #: mirror of the monitor's audit-chain head digest (the monitor is
     #: authoritative; this copy lets obs bundles carry the head without
     #: a monitor reference). Empty until the first audited decision.
@@ -267,13 +271,10 @@ class CycleClock:
         if n < 0:
             raise ValueError(f"negative cycle charge: {n}")
         self.cycles += n
-        if tag is not None:
-            self.by_tag[tag] += n
         per = self.per_cpu
         if self._cpu_stack:
             lane = self._cpu_stack[-1]
             per[lane] += n
-            self.busy_by_cpu[lane] += n
         elif len(per) == 1:
             per[0] += n
             lane = SERIAL_LANE
@@ -296,7 +297,7 @@ class CycleClock:
         Models a core picking up work that only became *available* now —
         e.g. a queued session admitted when another (further-ahead) core
         released its slot. The skipped span is idle waiting, so nothing
-        is charged: the serial total and the core's busy ledger do not
+        is charged: the serial total and the core's lane ledger do not
         move. Without this, work handed to a trailing core would start
         in that core's past and wall-clock time would undercount queues.
         """
@@ -308,13 +309,8 @@ class CycleClock:
 
     def count(self, event: str, n: int = 1) -> None:
         """Record ``n`` occurrences of a named event (no time charged)."""
-        self.events[event] += n
-        if self._cpu_stack:
-            cpu = self._cpu_stack[-1]
-            ledger = self.events_by_cpu.get(cpu)
-            if ledger is None:
-                ledger = self.events_by_cpu[cpu] = Counter()
-            ledger[event] += n
+        stack = self._cpu_stack
+        self.events_by_cpu[stack[-1] if stack else SERIAL_LANE][event] += n
 
     # -- per-CPU reads --------------------------------------------------- #
 
@@ -325,8 +321,9 @@ class CycleClock:
         return 0
 
     def cpu_busy(self, cpu_id: int) -> int:
-        """Cycles charged while ``cpu_id`` was the executing core."""
-        return self.busy_by_cpu.get(cpu_id, 0)
+        """Cycles charged while ``cpu_id`` was the executing core (serial
+        sections are excluded — they belong to no single core)."""
+        return sum(self.tags_by_cpu.get(cpu_id, {}).values())
 
     def cpu_events(self, cpu_id: int) -> Counter:
         """Event ledger of one core (empty Counter if untouched)."""
@@ -336,6 +333,27 @@ class CycleClock:
         """Tag → cycles ledger of one lane (:data:`SERIAL_LANE` for the
         serial lane); a copy — the live ledger is never handed out."""
         return dict(self.tags_by_cpu.get(lane, ()))
+
+    # -- machine-wide totals (derived from the lanes) -------------------- #
+
+    @property
+    def by_tag(self) -> Counter:
+        """Cycles per charge tag over every lane, ``"untagged"`` left
+        out; a fresh Counter (read-only view)."""
+        total = Counter()
+        for tags in self.tags_by_cpu.values():
+            total.update(tags)
+        del total["untagged"]
+        return total
+
+    @property
+    def events(self) -> Counter:
+        """Occurrences per event over every lane; a fresh Counter
+        (read-only view)."""
+        total = Counter()
+        for ledger in self.events_by_cpu.values():
+            total.update(ledger)
+        return total
 
     @property
     def wall_cycles(self) -> int:
@@ -360,8 +378,8 @@ class CycleClock:
 
     def snapshot(self) -> "ClockSnapshot":
         """Capture the current ledger for later interval deltas."""
-        return ClockSnapshot(self.cycles, Counter(self.by_tag),
-                             Counter(self.events), self.wall_cycles)
+        return ClockSnapshot(self.cycles, self.by_tag, self.events,
+                             self.wall_cycles)
 
     def since(self, snap: "ClockSnapshot") -> "ClockSnapshot":
         """Return the delta ledger accumulated since ``snap``."""

@@ -78,11 +78,12 @@ class PhysicalMemory:
         #: re-check the owner tag. Allocation order — ascending, lowest
         #: free frame first — is identical to a full scan.
         self._freed: list[int] = []
-        #: gates the paging-structure cache of every AddressSpace over this
-        #: memory (host-plane walk memoization; see AddressSpace.leaf_slot).
-        #: Cleared (together with ``Mmu.tlb_enabled``) to select the
-        #: reference path that re-walks every access.
-        self.psc_enabled = True
+        #: gates the host-plane walk memoization over this memory: the TLB
+        #: of every :class:`~repro.hw.mmu.Mmu` and the paging-structure
+        #: cache of every AddressSpace (see AddressSpace.leaf_slot).
+        #: Cleared to select the reference path that re-walks every
+        #: access; the simulated ledger is identical either way.
+        self.walk_caches_enabled = True
 
     # ------------------------------------------------------------------ #
     # frame lifecycle

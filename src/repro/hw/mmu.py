@@ -83,6 +83,8 @@ class Mmu:
 
     Hits charge zero cycles — exactly what the interpreted walk charges —
     so the simulated ledger is byte-identical with the TLB on or off.
+    The TLB is on while ``phys.walk_caches_enabled`` is set, the one
+    switch it shares with the paging-structure cache.
     """
 
     #: deterministic capacity guard: drop everything rather than evict
@@ -91,7 +93,6 @@ class Mmu:
     def __init__(self, phys: PhysicalMemory, clock: CycleClock):
         self.phys = phys
         self.clock = clock
-        self.tlb_enabled = True
         self._tlb: dict[tuple, tuple] = {}
         self.tlb_hits = 0
         self.tlb_misses = 0
@@ -120,7 +121,7 @@ class Mmu:
         user = ctx.mode == USER_MODE
 
         tlb_key = None
-        if self.tlb_enabled:
+        if self.phys.walk_caches_enabled:
             tlb_key = (aspace.root_fn, va >> 12, access, ctx.mode, ctx.cr0,
                        ctx.cr4, ctx.pkrs, ctx.ac, ctx.shadow_stack_op)
             entry = self._tlb.get(tlb_key)

@@ -152,7 +152,7 @@ class AddressSpace:
         the hit is exact whatever happened to frames in between.
         """
         key = va >> 21
-        e = self._psc.get(key) if self.phys.psc_enabled else None
+        e = self._psc.get(key) if self.phys.walk_caches_enabled else None
         if e is not None:
             huge, tab_fn, rf, e2_off, e2_img, lf, e1_off, e1_head, e1_tail = e
             rd = rf.data

@@ -24,8 +24,8 @@ stack. Four pieces:
   collapsed-stack flamegraph.
 * :mod:`repro.obs.ledger` — the plane-attribution budget ledger: every
   simulated cycle assigned to a named plane per execution lane, with a
-  bit-exact conservation invariant against the clock's busy/wall
-  ledgers.
+  bit-exact conservation invariant against the clock's serial total
+  and per-CPU positions.
 * :mod:`repro.obs.diff` — differential run comparator (``python -m
   repro.obs diff A B``) and the perf-trajectory regression gate over
   ``BENCH_history.jsonl``.

@@ -5,18 +5,20 @@ interpreter") should not have to be established by hand. This module
 makes that attribution a first-class, conservation-checked artifact: every simulated cycle a run
 charged is assigned to exactly one named **plane**, per execution lane
 (one lane per logical CPU plus the serial/barrier lane), and the sums are
-verified bit-exactly against the clock's own busy/wall ledgers.
+verified bit-exactly against the clock's serial total and wall position.
 
-The raw material is :attr:`repro.hw.cycles.CycleClock.tags_by_cpu`, which
-the clock maintains in the same branch as its busy accounting — so the
-invariant
+The raw material is :attr:`repro.hw.cycles.CycleClock.tags_by_cpu`, the
+clock's only cycle ledger: a core's busy cycles are its lane's sum, so
+the invariant
 
-* for every cpu lane ``c``:   ``sum(lane_tags[c]) == busy_by_cpu[c]``
+* for every cpu lane ``c``:   ``sum(lane_tags[c]) == per_cpu_busy[c]``
 * for the serial lane:        ``sum(lane_tags[SERIAL]) == cycles - Σbusy``
 * over all lanes:             ``Σ == cycles`` (the serial total)
 
-holds *by construction*, and :func:`verify_conservation` re-derives it
-from the exported dict rather than trusting the capture path.
+holds *by construction* on a live clock. :func:`verify_conservation`
+still re-derives every check from the exported dict rather than trusting
+the capture path, so a loaded or edited bundle is checked on its own
+numbers.
 
 Planes (the taxonomy DESIGN §8 documents; ``TAG_PLANES`` maps the clock's
 charge tags onto it):
@@ -60,6 +62,7 @@ byte-identical whether or not anyone ever looks at the budget.
 from __future__ import annotations
 
 import json
+import re
 from pathlib import Path
 
 from ..hw.cycles import CPU_FREQ_HZ, SERIAL_LANE
@@ -149,6 +152,10 @@ HOST_PLANES = {
 }
 
 
+#: the cpu lane names :func:`_lane_name` writes: ``cpu0``, ``cpu1``, ...
+_CPU_LANE = re.compile(r"cpu(0|[1-9][0-9]*)")
+
+
 def _lane_name(lane: int) -> str:
     return "serial" if lane == SERIAL_LANE else f"cpu{lane}"
 
@@ -171,7 +178,6 @@ def capture_ledger(clock, machine=None) -> dict:
     conservation block. Pass the machine to attach the translation
     summary (TLB hit rate).
     """
-    busy = dict(clock.busy_by_cpu)
     lanes: dict[str, dict] = {}
     planes_total: dict[str, int] = {}
     for lane in sorted(clock.tags_by_cpu):
@@ -180,9 +186,8 @@ def capture_ledger(clock, machine=None) -> dict:
         for tag, cycles in tags.items():
             plane = TAG_PLANES.get(tag, "other")
             planes[plane] = planes.get(plane, 0) + cycles
-        lane_total = sum(tags.values())
         lanes[_lane_name(lane)] = {
-            "busy": lane_total if lane == SERIAL_LANE else busy.get(lane, 0),
+            "busy": sum(tags.values()),
             "planes": {k: v for k, v in sorted(planes.items()) if v},
             "tags": dict(sorted(tags.items())),
         }
@@ -213,11 +218,14 @@ def verify_conservation(ledger: dict) -> dict:
 
     Checks, bit-exactly (no tolerance):
 
-    * every ``cpuN`` lane's plane sum == tag sum == the clock's
-      ``busy_by_cpu[N]``;
+    * every lane's plane sum == its tag sum;
+    * every ``cpuN`` lane's sum == ``per_cpu_busy[N]``;
     * the serial lane's sum == ``cycles - Σ busy``;
     * all lanes together == ``cycles`` (the serial total);
     * ``wall_cycles`` == max over ``per_cpu_cycles``.
+
+    Lane names other than ``serial`` and ``cpuN`` (``N`` ≥ 0, as
+    :func:`capture_ledger` writes it) are reported as violations.
 
     Returns ``{"ok": bool, "checked_lanes": n, "violations": [...]}``.
     """
@@ -232,12 +240,18 @@ def verify_conservation(ledger: dict) -> dict:
             violations.append(
                 f"{name}: plane sum {plane_sum} != tag sum {tag_sum}")
         total += tag_sum
-        if name.startswith("cpu"):
-            idx = int(name[3:])
-            expect = busy[idx] if idx < len(busy) else 0
-            if tag_sum != expect:
-                violations.append(
-                    f"{name}: lane sum {tag_sum} != busy ledger {expect}")
+        if name == "serial":
+            continue
+        match = _CPU_LANE.fullmatch(name)
+        if match is None:
+            violations.append(f"{name!r}: not a lane name "
+                              f"(expected 'serial' or 'cpuN')")
+            continue
+        idx = int(match[1])
+        expect = busy[idx] if idx < len(busy) else 0
+        if tag_sum != expect:
+            violations.append(
+                f"{name}: lane sum {tag_sum} != busy ledger {expect}")
     serial_sum = sum(lanes.get("serial", {}).get("tags", {}).values())
     expect_serial = ledger.get("cycles", 0) - sum(busy)
     if serial_sum != expect_serial:

@@ -1,6 +1,10 @@
 """Cycle-clock ledger tests: snapshots, rates, tag attribution."""
 
+from collections import Counter
+from contextlib import ExitStack
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.hw.cycles import CPU_FREQ_HZ, Cost, CycleClock
 
@@ -117,3 +121,105 @@ def test_gate_cost_pinned_with_disabled_tracer():
     rig = GateRig()
     assert not rig.clock.tracer.enabled
     assert rig.run_emc(int(EmcCall.NOP)) == Cost.EMC_ROUND_TRIP == 1224
+
+
+# --- one ledger: derived totals against an independent tally ----------------
+
+_TAGS = st.sampled_from([None, "instr", "mem", "emc", "sched", "untagged"])
+_EVENTS = st.sampled_from(["emc", "syscall", "page_fault"])
+_SCOPE = st.lists(st.integers(0, 3), max_size=2)   # nested on_cpu stack
+_OPS = st.lists(st.one_of(
+    st.tuples(st.just("charge"), _SCOPE, st.integers(0, 5000), _TAGS),
+    st.tuples(st.just("count"), _SCOPE, _EVENTS, st.integers(0, 9)),
+    st.tuples(st.just("fast_forward"), st.integers(0, 3)),
+    st.tuples(st.just("ensure_cpus"), st.integers(1, 4)),
+    st.tuples(st.just("snapshot"),),
+), max_size=40)
+
+
+class _Tally:
+    """The clock's contract, kept by hand: positions plus flat counters."""
+
+    def __init__(self, cores: int):
+        self.cycles = 0
+        self.per_cpu = [0] * cores
+        self.by_tag = Counter()
+        self.events = Counter()
+        self.busy = Counter()
+        self.cpu_events = {}
+
+    def grow(self, n: int) -> None:
+        wall = max(self.per_cpu)
+        self.per_cpu += [wall] * (n - len(self.per_cpu))
+
+    def charge(self, scope, n, tag) -> None:
+        for cpu in scope:
+            self.grow(cpu + 1)
+        self.cycles += n
+        if tag is not None and tag != "untagged":
+            self.by_tag[tag] += n
+        if scope:
+            self.per_cpu[scope[-1]] += n
+            self.busy[scope[-1]] += n
+        else:
+            wall = max(self.per_cpu) + n
+            self.per_cpu = [wall] * len(self.per_cpu)
+
+    def count(self, scope, event, n) -> None:
+        for cpu in scope:
+            self.grow(cpu + 1)
+        self.events[event] += n
+        if scope:
+            self.cpu_events.setdefault(scope[-1], Counter())[event] += n
+
+    def fast_forward(self, cpu: int) -> None:
+        self.grow(cpu + 1)
+        self.per_cpu[cpu] = max(self.per_cpu)
+
+
+@settings(max_examples=200, deadline=None)
+@given(cores=st.integers(1, 4), ops=_OPS)
+def test_derived_totals_match_an_independent_tally(cores, ops):
+    from repro.obs.ledger import capture_ledger
+    clock = CycleClock()
+    clock.ensure_cpus(cores)
+    tally = _Tally(cores)
+    snap = (clock.snapshot(), tally.cycles, Counter(tally.by_tag),
+            Counter(tally.events), max(tally.per_cpu))
+    for op, *args in ops:
+        if op in ("charge", "count"):
+            scope, *rest = args
+            with ExitStack() as stack:
+                for cpu in scope:
+                    stack.enter_context(clock.on_cpu(cpu))
+                getattr(clock, op)(*rest)
+            getattr(tally, op)(scope, *rest)
+        elif op == "fast_forward":
+            clock.fast_forward(*args)
+            tally.fast_forward(*args)
+        elif op == "ensure_cpus":
+            clock.ensure_cpus(*args)
+            tally.grow(*args)
+        else:
+            snap = (clock.snapshot(), tally.cycles, Counter(tally.by_tag),
+                    Counter(tally.events), max(tally.per_cpu))
+
+    assert clock.cycles == tally.cycles
+    assert clock.per_cpu == tally.per_cpu
+    assert clock.by_tag == tally.by_tag
+    assert clock.events == tally.events
+    for cpu in range(len(clock.per_cpu)):
+        assert clock.cpu_busy(cpu) == tally.busy[cpu]
+        assert clock.cpu_events(cpu) == tally.cpu_events.get(cpu, Counter())
+
+    now = clock.snapshot()
+    assert (now.cycles, now.by_tag, now.events, now.wall_cycles) == (
+        tally.cycles, tally.by_tag, tally.events, max(tally.per_cpu))
+    taken, cycles0, tags0, events0, wall0 = snap
+    delta = clock.since(taken)
+    assert delta.cycles == tally.cycles - cycles0
+    assert delta.by_tag == tally.by_tag - tags0
+    assert delta.events == tally.events - events0
+    assert delta.wall_cycles == max(tally.per_cpu) - wall0
+
+    assert capture_ledger(clock)["conservation"]["ok"]

@@ -54,8 +54,7 @@ def at(i):
 
 def make_machine(enabled, **kw):
     m = MicroMachine(**kw)
-    m.cpu.mmu.tlb_enabled = enabled
-    m.phys.psc_enabled = enabled
+    m.phys.walk_caches_enabled = enabled
     return m
 
 
@@ -74,7 +73,8 @@ def snapshot(m):
         "by_tag": dict(m.clock.by_tag),
         "events": dict(m.clock.events),
         "per_cpu": list(m.clock.per_cpu),
-        "busy": dict(m.clock.busy_by_cpu),
+        "lanes": {lane: dict(tags)
+                  for lane, tags in m.clock.tags_by_cpu.items()},
         "mem": {fn: bytes(f.data) for fn, f in sorted(m.phys.frames.items())
                 if f.data is not None},
     }
@@ -309,12 +309,12 @@ MID_RUN_BAD_LOAD = [
 ]
 
 
-def test_divide_error_mid_superblock_raised():
+def test_divide_error_mid_run_raised():
     on = lockstep(load_at_k(MID_RUN_DIV0), expect=DivideError)
     assert on.cpu.rip == at(3)           # rip parked on the div
 
 
-def test_divide_error_mid_superblock_delivered():
+def test_divide_error_mid_run_delivered():
     def setup(m):
         m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
         m.install_idt({0: HANDLER_VA})
@@ -324,13 +324,13 @@ def test_divide_error_mid_superblock_delivered():
     assert on.cpu.regs["r15"] == 1
 
 
-def test_page_fault_mid_superblock_raised():
+def test_page_fault_mid_run_raised():
     on = lockstep(load_at_k(MID_RUN_BAD_LOAD), expect=PageFault)
     assert on.cpu.rip == at(2)           # rip parked on the load
     assert on.cpu.regs["rbx"] == 1       # earlier instructions retired
 
 
-def test_page_fault_mid_superblock_delivered():
+def test_page_fault_mid_run_delivered():
     def setup(m):
         m.load_code(HANDLER_VA, [I("addi", "r15", imm=1), I("hlt")])
         m.install_idt({14: HANDLER_VA})

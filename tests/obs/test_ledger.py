@@ -23,7 +23,7 @@ from repro.obs.ledger import (
     translation_summary,
     verify_conservation,
 )
-from repro.obs.schema import check_ledger
+from repro.obs.schema import check_ledger, validate_ledger
 
 #: pinned digests from tests/fleet/test_smp_scaling.py — the ledger
 #: rides outside the preimage, so these must keep reproducing
@@ -85,7 +85,7 @@ def test_lane_sums_equal_busy_ledgers_bit_exactly():
     for cpu in range(3):
         assert sum(clock.cpu_tags(cpu).values()) == clock.cpu_busy(cpu)
     assert (sum(clock.cpu_tags(SERIAL_LANE).values())
-            == clock.cycles - sum(clock.busy_by_cpu.values()))
+            == clock.cycles - sum(map(clock.cpu_busy, range(3))))
 
 
 def test_cpu_tags_returns_a_copy():
@@ -168,6 +168,24 @@ def test_verify_conservation_flags_corruption():
     assert any("busy ledger" in v for v in verdict["violations"])
     with pytest.raises(ValueError):
         check_ledger(ledger)
+
+
+@pytest.mark.parametrize("bad_name", ["cpuX", "cpu-1"])
+def test_malformed_lane_names_are_schema_errors(bad_name):
+    # neither name is one capture_ledger writes: both must come back as
+    # violations, not as an exception or a check against busy[-1]
+    clock = CycleClock()
+    with clock.on_cpu(0):
+        clock.charge(100, "instr")
+    ledger = capture_ledger(clock)
+    ledger["lanes"][bad_name] = ledger["lanes"].pop("cpu0")
+    ledger.pop("conservation")
+    verdict = verify_conservation(ledger)
+    assert not verdict["ok"]
+    assert any(repr(bad_name) in v for v in verdict["violations"])
+    ledger["conservation"] = {"ok": True, "violations": []}
+    errors = validate_ledger(ledger)
+    assert any(repr(bad_name) in e for e in errors), errors
 
 
 def test_isa_run_lands_wholly_in_exec_interpret():
