@@ -2,9 +2,10 @@
 
 The observability plane's design contract is that it *reads* the cycle
 clock and never charges it, so its overhead in simulated cycles is
-exactly zero: a fleet run with the flight recorder, windowed SLO
-histograms and anomaly detectors all armed must produce the byte-for-byte
-same wall cycles (and report digest) as the bare run. This bench pins
+exactly zero: a fleet run with the flight recorder, metrics registry,
+windowed SLO histograms and anomaly detectors all armed must produce the
+byte-for-byte same wall cycles (and report digest) as the bare run, which
+arms none of them. This bench pins
 that — the acceptance bound is < 10% extra wall cycles, the measured
 value is 0% — and reports the *host-side* wall-time cost of recording
 in ``BENCH_obs_overhead.json``.
@@ -28,8 +29,9 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.report import format_table
+from repro.bench.report import format_table, write_table_section
 from repro.fleet import AnomalyConfig, SloConfig, run_fleet
+from repro.obs import install
 from repro.obs.hostprof import profile_fleet
 from repro.vm import MIB
 
@@ -42,7 +44,13 @@ FLEET_PARAMS = dict(workload="llama.cpp", clients=CLIENTS, requests=2,
                     pool_size=CLIENTS, tenants=CLIENTS, seed=7, scale=0.1,
                     n_cpus=4, memory_bytes=1024 * MIB, cma_bytes=512 * MIB)
 
-ARMED_PARAMS = dict(flight=True,
+
+def _arm_obs(machine) -> None:
+    """Flight recorder + metrics registry, armed before boot."""
+    install(machine.clock, flight=True)
+
+
+ARMED_PARAMS = dict(instrument=_arm_obs,
                     slo=SloConfig(queue_wait_p95=10**12,
                                   service_p95=10**12, e2e_p99=10**12),
                     anomaly=AnomalyConfig())
@@ -111,7 +119,7 @@ def write_artifact(runs, profiler) -> dict:
             "digest": armed.digest(),
             "host_seconds": round(armed_host, 4),
             "trace_events": len(recorder.events),
-            "flight_rings": len(recorder.rings),
+            "flight_lanes": len(recorder.lane_pushes),
             "slo_samples": armed.slo["samples"],
         },
         "simulated_overhead": round(
@@ -147,9 +155,10 @@ def overhead_table(payload) -> str:
 
 
 def write_tables(payload, profiler) -> str:
+    """Own one section of ``bench_tables.txt`` idempotently."""
     text = "\n\n".join([overhead_table(payload),
-                        profiler.render_table(top=10)]) + "\n"
-    TABLES.write_text(text)
+                        profiler.render_table(top=10)])
+    write_table_section(TABLES, text)
     return text
 
 

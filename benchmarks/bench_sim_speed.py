@@ -25,7 +25,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench.report import format_table
+from repro.bench.report import format_table, write_table_section
 from repro.fleet import run_fleet
 from repro.hw.isa import INSTR_SIZE, I
 from repro.hw.testbench import KERNEL_CODE_VA, KERNEL_DATA_VA, MicroMachine
@@ -268,12 +268,7 @@ def speed_table(payload) -> str:
 def append_tables(payload) -> str:
     """Own one section of ``bench_tables.txt`` idempotently."""
     table = speed_table(payload)
-    existing = TABLES.read_text() if TABLES.exists() else ""
-    if TABLES_MARKER in existing:
-        head = existing[:existing.index(TABLES_MARKER)].rstrip()
-        existing = head + "\n" if head else ""
-    text = (existing.rstrip() + "\n\n" + table + "\n").lstrip("\n")
-    TABLES.write_text(text)
+    write_table_section(TABLES, table)
     return table
 
 

@@ -8,6 +8,8 @@ regeneration source.
 
 from __future__ import annotations
 
+from pathlib import Path
+
 
 def format_table(title: str, headers: list[str],
                  rows: list[list[object]]) -> str:
@@ -21,6 +23,32 @@ def format_table(title: str, headers: list[str],
     for row in cells:
         lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
+
+
+def write_table_section(path, text: str) -> None:
+    """Replace one bench's section of a shared tables file, or append it.
+
+    A section starts at a :func:`format_table` title (a line followed by
+    its ``=`` rule) and runs up to the next such title. ``text`` starts
+    with its own title, which marks the section it replaces in place;
+    every other section is kept as it is, so benches sharing the file
+    never erase each other's tables.
+    """
+    path = Path(path)
+    lines = path.read_text().splitlines() if path.exists() else []
+    starts = [i for i in range(len(lines) - 1)
+              if lines[i] and lines[i + 1] and set(lines[i + 1]) == {"="}]
+    bounds = zip([0] + starts, starts + [len(lines)])
+    sections = [section for section in
+                ("\n".join(lines[lo:hi]).strip("\n") for lo, hi in bounds)
+                if section]
+    titles = [section.split("\n", 1)[0] for section in sections]
+    marker = text.split("\n", 1)[0]
+    if marker in titles:
+        sections[titles.index(marker)] = text.strip("\n")
+    else:
+        sections.append(text.strip("\n"))
+    path.write_text("\n\n".join(sections) + "\n")
 
 
 def pct(x: float, digits: int = 1) -> str:

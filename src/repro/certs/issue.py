@@ -236,7 +236,9 @@ class CertificateIssuer:
 
         ``traces`` is the report's session-name → trace-ID map; the
         tracer ring is indexed once and shared across every issuance.
-        Bumps ``erebor_certs_issued_total`` / ``erebor_certs_bytes``.
+        Bumps ``erebor_certs_issued_total`` / ``erebor_certs_bytes``
+        when a metrics registry is armed; only then is each certificate
+        serialised for its size.
         """
         index = RequestTraceIndex.from_tracer(self.clock.tracer,
                                               names=traces)
@@ -247,9 +249,11 @@ class CertificateIssuer:
                 continue
             cert = self.issue(session, index)
             certs[session.name] = cert
-            metrics.inc("erebor_certs_issued_total", tenant=session.tenant)
-            metrics.observe("erebor_certs_bytes",
-                            len(serialize_certificate(cert)))
+            if metrics.enabled:
+                metrics.inc("erebor_certs_issued_total",
+                            tenant=session.tenant)
+                metrics.observe("erebor_certs_bytes",
+                                len(serialize_certificate(cert)))
         return certs
 
 

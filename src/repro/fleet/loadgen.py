@@ -229,25 +229,26 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, system=None, slo=None, anomaly=None,
-              flight=None, certificates: bool = False,
+              instrument=None, slo=None, anomaly=None,
+              flight: bool = False, certificates: bool = False,
               cert_dir=None, features=None,
               static_budget_admission: bool = False
               ) -> tuple[FleetReport, object]:
     """Run one multi-tenant fleet; returns ``(report, system)``.
 
     ``instrument`` is called with the freshly built machine before any
-    cycle is charged (the ``repro.obs`` attach point); pass ``system`` to
-    reuse an already-booted CVM instead. ``n_cpus`` spreads sessions over
+    cycle is charged (the ``repro.obs`` attach point). Without it the
+    run records no metrics: callers that read them arm a registry there
+    (``repro.obs.install``). ``n_cpus`` spreads sessions over
     that many simulated cores (deterministic at any count); pass a full
     ``pool_config`` to turn on demand-driven pool autoscaling.
 
     ``slo`` (:class:`~repro.fleet.scheduler.SloConfig`) arms per-tenant
     latency objectives, ``anomaly``
     (:class:`~repro.fleet.scheduler.AnomalyConfig`) the EWMA exit/EMC
-    detectors, and ``flight`` (:class:`~repro.obs.flight.FlightConfig`
-    or ``True``) installs an always-on flight recorder that freezes a
-    black-box dump on any trigger. All three read the cycle clock but
+    detectors, and ``flight`` installs a flight recorder (unless
+    ``instrument`` already armed a tracer) that freezes a black-box dump
+    on any trigger. All three read the cycle clock but
     never charge it, so enabling them cannot move a seeded digest.
 
     ``certificates`` issues one :mod:`repro.certs` execution certificate
@@ -259,10 +260,10 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     cycles, so seeded report digests are identical with it on or off.
 
     ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
-    through to :func:`~repro.core.boot.erebor_boot` when this call boots
-    its own system. To run the reference path that re-walks every
-    access, clear ``machine.phys.walk_caches_enabled`` from
-    ``instrument``; the seeded digests are identical either way.
+    through to :func:`~repro.core.boot.erebor_boot`. To run the
+    reference path that re-walks every access, clear
+    ``machine.phys.walk_caches_enabled`` from ``instrument``; the seeded
+    digests are identical either way.
 
     ``static_budget_admission`` plugs the boot-time V10
     :class:`~repro.analysis.absint.StaticBudget` into the admission
@@ -274,21 +275,14 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
 
     certificates = bool(certificates) or cert_dir is not None
 
-    if system is None:
-        machine = CvmMachine(MachineConfig(memory_bytes=memory_bytes,
-                                           seed=seed))
-        if instrument is not None:
-            instrument(machine)
-        if not machine.clock.metrics.enabled:
-            from ..obs.metrics import MetricsRegistry
-            machine.clock.metrics = MetricsRegistry()
-        if flight and not machine.clock.tracer.enabled:
-            from ..obs.flight import FlightConfig, FlightRecorder
-            cfg = flight if isinstance(flight, FlightConfig) else None
-            machine.clock.tracer = FlightRecorder(machine.clock, cfg)
-        system = erebor_boot(machine, cma_bytes=cma_bytes,
-                             features=features)
-    clock = system.machine.clock
+    machine = CvmMachine(MachineConfig(memory_bytes=memory_bytes, seed=seed))
+    if instrument is not None:
+        instrument(machine)
+    if flight and not machine.clock.tracer.enabled:
+        from ..obs.flight import FlightRecorder
+        machine.clock.tracer = FlightRecorder(machine.clock)
+    system = erebor_boot(machine, cma_bytes=cma_bytes, features=features)
+    clock = machine.clock
 
     # certificates attach the request's causal span tree: arm a tracer
     # before any fleet work if the caller didn't install one (reading

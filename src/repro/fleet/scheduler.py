@@ -32,7 +32,7 @@ from ..client import RemoteClient
 from ..core.boot import published_measurement
 from ..core.channel import SecureChannel, UntrustedProxy
 from ..core.mitigations import MitigationConfig
-from ..obs.metrics import EwmaDetector, WindowedHistogram
+from ..obs.metrics import EwmaDetector, WindowedHistogram, label_key
 from ..obs.reqtrace import mint_trace_id
 from .admission import AdmissionController, Decision
 from .pool import PoolSlot, WarmPool
@@ -117,9 +117,11 @@ class SloConfig:
 class SloMonitor:
     """Watches per-tenant latency percentiles; emits breach events.
 
-    Keeps its own deterministic :class:`WindowedHistogram` per
-    ``(tenant, metric)`` (and mirrors every sample into the metrics
-    registry's windowed series for export). The first breach of each
+    Keeps one deterministic :class:`WindowedHistogram` per
+    ``(tenant, metric)``; when a metrics registry is armed, each
+    histogram is registered as the registry's
+    ``erebor_fleet_latency_cycles`` windowed series, so the export reads
+    the same store the monitor judges. The first breach of each
     ``(tenant, metric)`` pair raises a trace event, bumps the breach
     counter, and fires the flight-recorder trigger; later samples keep
     counting but don't re-dump.
@@ -139,10 +141,6 @@ class SloMonitor:
         self.breaches: list[dict] = []
         self._breached: set[tuple[str, str]] = set()
         self.samples = 0
-        clock.metrics.describe_window(
-            "erebor_fleet_latency_cycles",
-            "Per-tenant fleet latency (windowed, cycles)",
-            window_cycles=config.window_cycles, windows=config.windows)
 
     def observe(self, tenant: str, metric: str, value: int) -> None:
         cycle = self.clock.cycles
@@ -152,10 +150,12 @@ class SloMonitor:
         if hist is None:
             hist = self.hists[key] = WindowedHistogram(
                 self.config.window_cycles, self.config.windows)
+            metrics = self.clock.metrics
+            if metrics.enabled:
+                metrics.windowed.setdefault(
+                    "erebor_fleet_latency_cycles", {})[
+                    label_key({"tenant": tenant, "metric": metric})] = hist
         hist.observe(value, cycle)
-        self.clock.metrics.observe_window(
-            "erebor_fleet_latency_cycles", value, cycle,
-            tenant=tenant, metric=metric)
         attr, q, label = self.RULES[metric]
         threshold = getattr(self.config, attr)
         if threshold is None or hist.count < self.config.min_samples:

@@ -26,13 +26,18 @@ stack. Four pieces:
   simulated cycle assigned to a named plane per execution lane, with a
   bit-exact conservation invariant against the clock's serial total
   and per-CPU positions.
+* :mod:`repro.obs.flight` — the flight recorder: a drop-in tracer that
+  freezes black-box dumps, cut per CPU lane from its own ring, whenever
+  a security or SLO trigger fires.
 * :mod:`repro.obs.diff` — differential run comparator (``python -m
   repro.obs diff A B``) and the perf-trajectory regression gate over
   ``BENCH_history.jsonl``.
 
 Observability *reads* the clock and never charges it: enabling a tracer
 changes no calibrated number (empty EMC stays 1224 cycles, empty syscall
-684 — test-enforced).
+684 — test-enforced). Only code that reads observability arms it: a bare
+``run_fleet`` installs no registry, so its hot paths write to the no-op
+sinks; callers that read metrics arm them through ``instrument=``.
 
 Quickstart::
 
@@ -81,7 +86,7 @@ from .trace import (
 
 __all__ = [
     "AUDIT", "DEFAULT_BUCKETS", "DEFAULT_CAPACITY", "EwmaDetector",
-    "FlightConfig", "FlightDump", "FlightRecorder", "HostProfiler",
+    "FlightDump", "FlightRecorder", "HostProfiler",
     "INSTANT", "MetricsRegistry", "NULL_METRICS", "NULL_TRACER",
     "NullMetrics", "NullTracer", "RequestTraceIndex", "RingBuffer",
     "SPAN", "TraceEvent", "Tracer", "WindowedHistogram",
@@ -113,7 +118,6 @@ _LAZY = {
     "check_request_trace": ("schema", "check_request_trace"),
     "check_hostprof_report": ("schema", "check_hostprof_report"),
     "run_observed": ("harness", "run_observed"),
-    "FlightConfig": ("flight", "FlightConfig"),
     "FlightDump": ("flight", "FlightDump"),
     "FlightRecorder": ("flight", "FlightRecorder"),
     "utilization_timeline": ("flight", "utilization_timeline"),
@@ -147,21 +151,19 @@ def __getattr__(name: str):
 
 
 def install(clock, *, trace: bool = True, metrics: bool = True,
-            capacity: int = DEFAULT_CAPACITY, flight=False):
+            capacity: int = DEFAULT_CAPACITY, flight: bool = False):
     """Attach observability to a clock; returns ``(tracer, registry)``.
 
     With ``trace=False`` (or ``metrics=False``) the corresponding no-op
     sink is left in place and returned, so callers can always use the
     return values unconditionally. ``flight`` swaps the plain tracer for
-    a :class:`~repro.obs.flight.FlightRecorder` (pass a
-    :class:`~repro.obs.flight.FlightConfig` to tune it) — a drop-in
-    Tracer that additionally keeps per-CPU black-box rings and freezes a
-    dump on every trigger.
+    a :class:`~repro.obs.flight.FlightRecorder` — a drop-in Tracer that
+    also counts per-CPU lane pushes and freezes a black-box dump, cut
+    from its own ring, on every trigger.
     """
     if flight and trace:
-        from .flight import FlightConfig, FlightRecorder
-        cfg = flight if isinstance(flight, FlightConfig) else None
-        tracer = FlightRecorder(clock, cfg, capacity=capacity)
+        from .flight import FlightRecorder
+        tracer = FlightRecorder(clock, capacity=capacity)
     else:
         tracer = Tracer(clock, capacity=capacity) if trace else clock.tracer
     registry = MetricsRegistry() if metrics else clock.metrics

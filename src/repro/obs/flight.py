@@ -1,16 +1,21 @@
-"""Flight recorder: always-on bounded per-CPU rings + black-box dumps.
+"""Flight recorder: black-box dumps cut from the tracer's own ring.
 
 A :class:`FlightRecorder` is a :class:`~repro.obs.trace.Tracer` (every
-exporter, the profiler, and the bundle harness work on it unchanged) that
-additionally mirrors each record into a small bounded ring *per logical
-CPU*. When a trigger fires — a security violation, a C1–C8 check failure,
-an SLO breach (see :meth:`~repro.obs.trace.NullTracer.trigger` call sites
-in ``core/monitor.py``, ``core/sandbox.py``, ``fleet/pool.py`` and the
-SLO monitor) — the recorder freezes the last ``lookback_kcycles``
-kilocycles of every core's ring into a :class:`FlightDump`: a
-self-describing JSON payload that also carries a Chrome ``traceEvents``
-view (one thread lane per CPU), the audit-chain head digest at the
-moment of the trigger, and a per-CPU utilization timeline.
+exporter, the profiler, and the bundle harness work on it unchanged)
+that also counts how many records each *lane* — each logical CPU, plus
+:data:`SERIAL` for serial sections — has pushed. It keeps no ring of its
+own: when a trigger fires — a security violation, a C1–C8 check
+failure, an SLO breach (see :meth:`~repro.obs.trace.NullTracer.trigger`
+call sites in ``core/monitor.py``, ``core/sandbox.py``,
+``fleet/pool.py`` and the SLO monitor) — the recorder splits the
+tracer's ring by lane, keeps each lane's last :data:`LANE_CAPACITY`
+records that end inside the last :data:`LOOKBACK_KCYCLES` kilocycles,
+and freezes them into a :class:`FlightDump`: a self-describing JSON
+payload that also carries a Chrome ``traceEvents`` view (one thread lane
+per CPU), the audit-chain head digest at the moment of the trigger, and
+a per-CPU utilization timeline. A lane's ``dropped`` count is its pushes
+beyond :data:`LANE_CAPACITY`, so it stays exact however far the tracer
+ring has wrapped.
 
 Like every obs component the recorder only *reads* the cycle clock; it
 never charges it, so the simulated timeline is byte-identical with the
@@ -20,62 +25,46 @@ recorder on or off (the overhead benchmark pins this).
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .ring import RingBuffer
 from .trace import DEFAULT_CAPACITY, SPAN, TraceEvent, Tracer
 
-#: ring key used for records charged in serial sections (no executing CPU)
+#: lane key used for records charged in serial sections (no executing CPU)
 SERIAL = -1
-
-
-@dataclass
-class FlightConfig:
-    """Bounds of the always-on recorder and its dumps."""
-
-    #: per-CPU ring capacity (events); small by design — recent history only
-    ring_capacity: int = 4096
-    #: dump window: keep events ending within the last N kilocycles
-    lookback_kcycles: int = 50
-    #: freeze at most this many dumps (later triggers only count)
-    max_dumps: int = 4
-    #: buckets in the per-CPU utilization timeline of each dump
-    timeline_buckets: int = 20
+#: records a dump keeps per lane; small by design — recent history only
+LANE_CAPACITY = 4096
+#: dump window: keep records ending within the last N kilocycles
+LOOKBACK_KCYCLES = 50
+#: freeze at most this many dumps (later triggers only count)
+MAX_DUMPS = 4
+#: buckets in the per-CPU utilization timeline of each dump
+TIMELINE_BUCKETS = 20
 
 
 class FlightRecorder(Tracer):
-    """Recording tracer with per-CPU recent-history rings and dumps."""
+    """Recording tracer that freezes per-lane dumps on every trigger."""
 
-    __slots__ = ("config", "rings", "dumps", "triggers")
+    __slots__ = ("lane_pushes", "dumps", "triggers")
 
-    def __init__(self, clock, config: FlightConfig | None = None,
-                 capacity: int = DEFAULT_CAPACITY):
+    def __init__(self, clock, capacity: int = DEFAULT_CAPACITY):
         super().__init__(clock, capacity=capacity)
-        self.config = config or FlightConfig()
-        #: cpu id (SERIAL for serial sections) → bounded recent-event ring
-        self.rings: dict[int, RingBuffer[TraceEvent]] = {}
+        #: record cpu slot (None for serial sections) → records pushed
+        self.lane_pushes: defaultdict[int | None, int] = defaultdict(int)
         self.dumps: list[FlightDump] = []
         self.triggers = 0
 
     # -- recording ------------------------------------------------------- #
 
     def _emit(self, event: TraceEvent) -> None:
-        # hot path: every record passes through here; the event is a bare
-        # tuple (cpu = slot 8) and is mirrored by reference, not copied.
-        # Both ring appends are inlined (increment + C append) — two
-        # method calls per record is measurable at fleet scale.
+        # hot path: every record passes through here. One ring append
+        # (inlined: increment + C append) plus one lane count; the lane
+        # key is the record's raw cpu slot (slot 8), mapped at freeze.
         events = self.events
         events.pushed += 1
         events._buf.append(event)
-        cpu = event[8]
-        if cpu is None:
-            cpu = SERIAL
-        ring = self.rings.get(cpu)
-        if ring is None:
-            ring = self.rings[cpu] = RingBuffer(self.config.ring_capacity)
-        ring.pushed += 1
-        ring._buf.append(event)
+        self.lane_pushes[event[8]] += 1
 
     def trigger(self, reason: str, detail: str = "") -> None:
         """Record the trigger event, then freeze a black-box dump.
@@ -87,7 +76,7 @@ class FlightRecorder(Tracer):
         """
         super().trigger(reason, detail)       # instant flight:<reason> event
         self.triggers += 1
-        if len(self.dumps) < self.config.max_dumps:
+        if len(self.dumps) < MAX_DUMPS:
             self.dumps.append(self._freeze(reason, detail))
 
     # -- freezing -------------------------------------------------------- #
@@ -96,23 +85,26 @@ class FlightRecorder(Tracer):
         from .ledger import capture_ledger   # late: ledger imports hw.cycles
 
         now = self.clock.cycles
-        window_start = max(0, now - self.config.lookback_kcycles * 1000)
+        window_start = max(0, now - LOOKBACK_KCYCLES * 1000)
+        by_lane: dict = {}
+        for e in self.events:
+            by_lane.setdefault(e[8], []).append(e)
         events_by_cpu: dict[int, list[TraceEvent]] = {}
         dropped_by_cpu: dict[int, int] = {}
-        for cpu in sorted(self.rings):
-            ring = self.rings[cpu]
-            events_by_cpu[cpu] = [e for e in ring if e.end >= window_start]
-            dropped_by_cpu[cpu] = ring.dropped
+        for cpu, pushed in self.lane_pushes.items():
+            lane = SERIAL if cpu is None else cpu
+            recent = by_lane.get(cpu, [])[-LANE_CAPACITY:]
+            events_by_cpu[lane] = [e for e in recent if e[4] >= window_start]
+            dropped_by_cpu[lane] = max(0, pushed - LANE_CAPACITY)
         return FlightDump(
             reason=reason, detail=detail, cycle=now,
             window_start=window_start,
-            lookback_kcycles=self.config.lookback_kcycles,
+            lookback_kcycles=LOOKBACK_KCYCLES,
             audit_head=getattr(self.clock, "audit_head", ""),
             wall_cycles=self.clock.wall_cycles,
             per_cpu_cycles=list(self.clock.per_cpu),
-            events_by_cpu=events_by_cpu,
+            events_by_cpu=dict(sorted(events_by_cpu.items())),
             dropped_by_cpu=dropped_by_cpu,
-            timeline_buckets=self.config.timeline_buckets,
             trace_id=self._trace or "",
             # where the budget stood when the box froze: the postmortem
             # can see which plane was eating the machine at the trigger
@@ -121,7 +113,7 @@ class FlightRecorder(Tracer):
 
     def __repr__(self) -> str:
         return (f"FlightRecorder({len(self.events)} events, "
-                f"{len(self.rings)} rings, {self.triggers} triggers, "
+                f"{len(self.lane_pushes)} lanes, {self.triggers} triggers, "
                 f"{len(self.dumps)} dumps)")
 
 
@@ -139,7 +131,7 @@ class FlightDump:
     per_cpu_cycles: list[int]
     events_by_cpu: dict[int, list[TraceEvent]]
     dropped_by_cpu: dict[int, int] = field(default_factory=dict)
-    timeline_buckets: int = 20
+    timeline_buckets: int = TIMELINE_BUCKETS
     #: request trace ID bound when the trigger fired ("" = none bound)
     trace_id: str = ""
     #: plane-attribution budget snapshot at freeze time (repro.obs.ledger)
@@ -222,7 +214,7 @@ class FlightDump:
 
 def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
                          start: int, end: int, *,
-                         buckets: int = 20) -> dict:
+                         buckets: int = TIMELINE_BUCKETS) -> dict:
     """Per-CPU busy fraction over ``buckets`` equal slices of [start, end].
 
     Busy time is the interval *union* of span events per core (nested

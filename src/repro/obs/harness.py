@@ -41,12 +41,12 @@ class ObservedRun:
 def run_observed(workload: str = "helloworld", setting: str = "erebor", *,
                  scale: float = 0.25, seed: int = 2025,
                  capacity: int = DEFAULT_CAPACITY,
-                 trace: bool = True, flight=False) -> ObservedRun:
+                 trace: bool = True, flight: bool = False) -> ObservedRun:
     """Run one workload with tracing + metrics attached; returns the run.
 
     ``flight`` installs a :class:`~repro.obs.flight.FlightRecorder`
-    instead of the plain tracer (pass a
-    :class:`~repro.obs.flight.FlightConfig` to tune its rings).
+    instead of the plain tracer: dumps are cut from its ring on every
+    trigger.
     """
     from . import install                      # late: avoid import cycle
 

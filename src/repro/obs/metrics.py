@@ -329,15 +329,6 @@ class NullMetrics:
     def observe(self, name: str, value: float, /, **labels) -> None:
         return None
 
-    def describe_window(self, name: str, help: str = "",
-                        window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                        windows: int = DEFAULT_WINDOWS) -> None:
-        return None
-
-    def observe_window(self, name: str, value: float, cycle: int,
-                       /, **labels) -> None:
-        return None
-
     def exemplar(self, name: str, trace_id: str, /, **labels) -> None:
         return None
 
@@ -346,10 +337,6 @@ class NullMetrics:
 
     def histogram_handle(self, name: str, /, **labels) -> _NullHandle:
         return NULL_HANDLE
-
-    def window_quantiles(self, name: str, /, cycle: int | None = None,
-                         **labels) -> dict:
-        return {}
 
     def snapshot(self) -> dict:
         return {"counters": {}, "gauges": {}, "histograms": {}}
@@ -364,20 +351,21 @@ class MetricsRegistry(NullMetrics):
 
     enabled = True
     __slots__ = ("counters", "gauges", "histograms", "windowed",
-                 "exemplars", "_help", "_buckets", "_window_cfg")
+                 "exemplars", "_help", "_buckets")
 
     def __init__(self):
         self.counters: dict[str, dict[str, float]] = {}
         self.gauges: dict[str, dict[str, float]] = {}
         #: name → key → {"buckets": [..], "sum": s, "count": n}
         self.histograms: dict[str, dict[str, dict]] = {}
-        #: name → key → WindowedHistogram (cycle-time sliding windows)
+        #: name → key → WindowedHistogram (cycle-time sliding windows),
+        #: registered by their owner (the fleet SLO monitor) and read
+        #: only at snapshot time — the owner's histogram is the series
         self.windowed: dict[str, dict[str, WindowedHistogram]] = {}
         #: name → key → last-seen request trace ID (OpenMetrics-style)
         self.exemplars: dict[str, dict[str, str]] = {}
         self._help: dict[str, str] = {}
         self._buckets: dict[str, tuple] = {}
-        self._window_cfg: dict[str, tuple[int, int]] = {}
 
     # -- registration ---------------------------------------------------- #
 
@@ -388,14 +376,6 @@ class MetricsRegistry(NullMetrics):
             self._help[name] = help
         if buckets is not None:
             self._buckets[name] = tuple(sorted(buckets))
-
-    def describe_window(self, name: str, help: str = "",
-                        window_cycles: int = DEFAULT_WINDOW_CYCLES,
-                        windows: int = DEFAULT_WINDOWS) -> None:
-        """Configure a windowed series' geometry (and optional help)."""
-        if help:
-            self._help[name] = help
-        self._window_cfg[name] = (window_cycles, windows)
 
     # -- writes ---------------------------------------------------------- #
 
@@ -422,19 +402,6 @@ class MetricsRegistry(NullMetrics):
             hist["buckets"][i] += 1
         hist["sum"] += value
         hist["count"] += 1
-
-    def observe_window(self, name: str, value: float, cycle: int,
-                       /, **labels) -> None:
-        """Observe into a cycle-time sliding-window histogram."""
-        series = self.windowed.setdefault(name, {})
-        key = label_key(labels)
-        hist = series.get(key)
-        if hist is None:
-            cfg = self._window_cfg.get(name,
-                                       (DEFAULT_WINDOW_CYCLES,
-                                        DEFAULT_WINDOWS))
-            hist = series[key] = WindowedHistogram(*cfg)
-        hist.observe(value, cycle)
 
     def counter_handle(self, name: str, /, **labels) -> CounterHandle:
         """Resolve one counter series to a reusable write handle.
@@ -476,14 +443,6 @@ class MetricsRegistry(NullMetrics):
             self.exemplars.setdefault(name, {})[label_key(labels)] = trace_id
 
     # -- reads ----------------------------------------------------------- #
-
-    def window_quantiles(self, name: str, /, cycle: int | None = None,
-                         **labels) -> dict:
-        """p50/p95/p99 summary of one windowed series ({} if absent)."""
-        hist = self.windowed.get(name, {}).get(label_key(labels))
-        if hist is None:
-            return {}
-        return hist.quantiles(cycle)
 
     def counter_value(self, name: str, /, **labels) -> float:
         return self.counters.get(name, {}).get(label_key(labels), 0)

@@ -407,7 +407,7 @@ class Tracer(NullTracer):
 
     def _emit(self, event: TraceEvent) -> None:
         """Single sink for every record (FlightRecorder overrides this to
-        additionally mirror events into its per-CPU rings). Reaches into
+        also count each record's CPU lane). Reaches into
         the ring directly — one increment, one C append — because this
         runs once per record at fleet scale."""
         events = self.events

@@ -9,10 +9,11 @@ the previous tenant's secrets or evidence into the next certificate.
 
 import json
 
-from repro.certs import serialize_certificate
+from repro.certs import issue, serialize_certificate
 from repro.certs.verify import CertificateVerifier
 from repro.fleet import run_fleet
 from repro.fleet.loadgen import FleetReport
+from repro.obs import NULL_METRICS, install
 
 PARAMS = dict(workload="helloworld", clients=4, requests=2, pool_size=2,
               tenants=2, seed=2025, scale=1.0)
@@ -110,7 +111,10 @@ def test_audit_windows_are_anchored_per_session():
 # --------------------------------------------------------------------------- #
 
 def test_issuance_metrics_count_certificates_and_bytes():
-    report, system = run_fleet(certificates=True, **PARAMS)
+    report, system = run_fleet(
+        certificates=True,
+        instrument=lambda machine: install(machine.clock, trace=False),
+        **PARAMS)
     registry = system.machine.clock.metrics
     issued = registry.counter_total("erebor_certs_issued_total")
     assert issued == len(report.certs) == 4
@@ -122,6 +126,17 @@ def test_issuance_metrics_count_certificates_and_bytes():
     hist = registry.histograms["erebor_certs_bytes"][""]
     assert hist["count"] == 4
     assert hist["sum"] > 0
+
+
+def test_bare_fleet_arms_no_registry_and_serialises_no_certificate(
+        monkeypatch):
+    def serialise(cert):
+        raise AssertionError("a bare run serialised a certificate")
+
+    monkeypatch.setattr(issue, "serialize_certificate", serialise)
+    report, system = run_fleet(certificates=True, **PARAMS)
+    assert system.machine.clock.metrics is NULL_METRICS
+    assert len(report.certs) == 4
 
 
 def test_certs_field_defaults_keep_old_reports_loadable():

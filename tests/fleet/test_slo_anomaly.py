@@ -18,6 +18,8 @@ from repro.fleet.__main__ import main as fleet_main
 from repro.fleet.admission import AdmissionConfig, TenantQuota
 from repro.fleet.scheduler import AnomalyMonitor
 from repro.hw.cycles import CycleClock
+from repro.obs import install
+from repro.obs.flight import LOOKBACK_KCYCLES
 from repro.vm import CvmMachine, MachineConfig, MIB
 
 PARAMS = dict(workload="helloworld", clients=4, requests=2, pool_size=2,
@@ -34,7 +36,10 @@ PINNED_SINGLE_CORE = \
 
 def test_tight_slo_breaches_and_fires_the_flight_recorder():
     slo = SloConfig(queue_wait_p95=1, service_p95=1, e2e_p99=1)
-    report, system = run_fleet(slo=slo, flight=True, **PARAMS)
+    report, system = run_fleet(
+        slo=slo, flight=True,
+        instrument=lambda machine: install(machine.clock, trace=False),
+        **PARAMS)
     breaches = report.slo["breaches"]
     assert breaches, "1-cycle objectives must breach"
     tenants = {b["tenant"] for b in breaches}
@@ -162,7 +167,7 @@ def test_forced_emc_violation_freezes_a_forensic_dump():
     assert "EMC allowance" in dump.detail
     payload = dump.to_dict()
     # the dump window honors the configured lookback exactly
-    lookback = recorder.config.lookback_kcycles * 1000
+    lookback = LOOKBACK_KCYCLES * 1000
     assert payload["window"]["end"] - payload["window"]["start"] == lookback
     # ...and holds the violating request's span plus the kill audit trail
     names = [e["name"] for lane in payload["per_cpu"].values()

@@ -4,14 +4,16 @@
 and ``erebor_certs_bytes`` observes each certificate's serialized size —
 the capacity-planning surface for certificate storage. Neither series
 exists until issuance is armed, so plain runs export byte-identical
-metric snapshots.
+metric snapshots. Both runs arm a registry: a bare fleet records none.
 """
 
 from repro.certs import serialize_certificate
 from repro.fleet import run_fleet
+from repro.obs import install
 
 PARAMS = dict(workload="helloworld", clients=2, requests=1, pool_size=1,
-              tenants=2, seed=7, scale=1.0)
+              tenants=2, seed=7, scale=1.0,
+              instrument=lambda machine: install(machine.clock, trace=False))
 
 
 def test_issuance_ticks_both_series_with_exact_values():

@@ -1,30 +1,30 @@
-"""Flight recorder: per-CPU rings, trigger-frozen dumps, timelines.
+"""Flight recorder: per-lane dumps cut from the ring, timelines.
 
 The recorder is a drop-in :class:`~repro.obs.trace.Tracer` subclass —
 every exporter and the profiler must keep working on it unchanged — that
-additionally mirrors records into bounded per-CPU rings and freezes a
-black-box :class:`~repro.obs.flight.FlightDump` on every trigger.
+counts each CPU lane's pushes and, on every trigger, freezes a black-box
+:class:`~repro.obs.flight.FlightDump` cut from its own ring.
 """
 
 import json
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
 from repro.hw.cycles import CycleClock
+from repro.obs import flight
 from repro.obs.export import chrome_trace, prometheus_text, trace_json
-from repro.obs.flight import (
-    SERIAL,
-    FlightConfig,
-    FlightRecorder,
-    utilization_timeline,
-)
+from repro.obs.flight import SERIAL, FlightRecorder, utilization_timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import check_flight_dump
-from repro.obs.trace import NULL_TRACER, TraceEvent, Tracer
+from repro.obs.trace import NULL_TRACER, SPAN, TraceEvent, Tracer
 
 
-def _recorder(n_cpus: int = 2, **cfg) -> tuple[CycleClock, FlightRecorder]:
+def _recorder(n_cpus: int = 2,
+              capacity: int = 1 << 17) -> tuple[CycleClock, FlightRecorder]:
     clock = CycleClock()
     clock.ensure_cpus(n_cpus)
-    recorder = FlightRecorder(clock, FlightConfig(**cfg))
+    recorder = FlightRecorder(clock, capacity=capacity)
     clock.tracer = recorder
     clock.metrics = MetricsRegistry()
     return clock, recorder
@@ -36,8 +36,12 @@ def _work(clock, cpu: int, name: str, cycles: int) -> None:
             clock.charge(cycles, "work")
 
 
+def _names(events) -> list[str]:
+    return [e.name for e in events]
+
+
 # --------------------------------------------------------------------------- #
-# recording: per-CPU rings mirror the main ring
+# recording: one ring, dumps split it by executing CPU
 # --------------------------------------------------------------------------- #
 
 def test_events_land_in_the_executing_cpus_ring():
@@ -45,20 +49,89 @@ def test_events_land_in_the_executing_cpus_ring():
     _work(clock, 0, "a", 100)
     _work(clock, 1, "b", 200)
     clock.tracer.event("serial-note", cat="test")   # no CPU scope
-    assert [e.name for e in recorder.rings[0]] == ["a"]
-    assert [e.name for e in recorder.rings[1]] == ["b"]
-    assert [e.name for e in recorder.rings[SERIAL]] == ["serial-note"]
-    # the main ring still sees everything, in commit order
-    assert [e.name for e in recorder.events] == ["a", "b", "serial-note"]
+    recorder.trigger("manual", "")
+    lanes = recorder.dumps[0].events_by_cpu
+    assert list(lanes) == [SERIAL, 0, 1]
+    assert _names(lanes[0]) == ["a"]
+    assert _names(lanes[1]) == ["b"]
+    # the trigger's own instant event lands in the serial lane too
+    assert _names(lanes[SERIAL]) == ["serial-note", "flight:manual"]
+    # the tracer ring is the only store, in commit order
+    assert _names(recorder.events) == ["a", "b", "serial-note",
+                                       "flight:manual"]
 
 
-def test_rings_are_bounded_and_count_drops():
-    clock, recorder = _recorder(ring_capacity=4)
+def test_rings_are_bounded_and_count_drops(monkeypatch):
+    monkeypatch.setattr(flight, "LANE_CAPACITY", 4)
+    clock, recorder = _recorder()
     for i in range(10):
         _work(clock, 0, f"s{i}", 10)
-    assert len(recorder.rings[0]) == 4
-    assert recorder.rings[0].dropped == 6
-    assert [e.name for e in recorder.rings[0]] == ["s6", "s7", "s8", "s9"]
+    recorder.trigger("manual", "")
+    dump = recorder.dumps[0]
+    assert _names(dump.events_by_cpu[0]) == ["s6", "s7", "s8", "s9"]
+    assert dump.dropped_by_cpu[0] == 6
+    assert dump.dropped_by_cpu[SERIAL] == 0
+    assert dump.to_dict()["per_cpu"]["0"]["dropped"] == 6
+    # the cap bounds the dump, not the tracer ring
+    assert len(recorder.events) == 11
+
+
+def _lane(event) -> int:
+    return SERIAL if event.cpu is None else event.cpu
+
+
+def _expected_lanes(pushed, capacity, cap, window_start):
+    """Per lane: the last ``cap`` of its records still in a ring of
+    ``capacity``, kept if they end in the window; drops from all pushes."""
+    ring = pushed[-capacity:]
+    lanes, dropped = {}, {}
+    for lane in sorted({_lane(e) for e in pushed}):
+        recent = [e for e in ring if _lane(e) == lane][-cap:]
+        lanes[lane] = [e for e in recent if e.end >= window_start]
+        dropped[lane] = max(0, sum(_lane(e) == lane for e in pushed) - cap)
+    return lanes, dropped
+
+
+@settings(max_examples=80, deadline=None)
+@given(records=st.lists(st.tuples(st.one_of(st.none(), st.integers(0, 3)),
+                                  st.integers(0, 400),     # cycles charged
+                                  st.integers(0, 1500)),   # end lag
+                        max_size=150),
+       n_lanes=st.integers(1, 4),
+       capacity=st.sampled_from([2, 5, 16, 1 << 17]),
+       cap=st.integers(1, 6),
+       triggers=st.sets(st.integers(0, 149), max_size=3))
+def test_dump_lanes_are_the_last_cap_ring_records_in_the_window(
+        records, n_lanes, capacity, cap, triggers):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(flight, "LANE_CAPACITY", cap)
+        mp.setattr(flight, "LOOKBACK_KCYCLES", 1)     # a 1000-cycle window
+        clock, recorder = _recorder(n_lanes, capacity=capacity)
+        pushed: list[TraceEvent] = []
+
+        def trigger_and_check(detail: str) -> None:
+            recorder.trigger("gen", detail)
+            pushed.append(recorder.events[-1])        # the trigger's event
+            dump = recorder.dumps[-1]
+            lanes, dropped = _expected_lanes(pushed, capacity, cap,
+                                             dump.window_start)
+            assert dump.events_by_cpu == lanes
+            assert list(dump.events_by_cpu) == list(lanes)
+            assert dump.dropped_by_cpu == dropped
+
+        for i, (lane, cycles, lag) in enumerate(records):
+            if i in triggers:
+                trigger_and_check(str(i))
+            clock.charge(cycles, "work")
+            # ends lag the clock by up to 1.5 windows, out of push order
+            end = max(0, clock.cycles - lag)
+            event = TraceEvent(f"r{i}", "gen", SPAN, max(0, end - cycles),
+                               end, cpu=None if lane is None
+                               else lane % n_lanes)
+            recorder._emit(event)
+            pushed.append(event)
+        trigger_and_check("end")
+    assert recorder.events.pushed == len(pushed)
 
 
 def test_recorder_reads_but_never_charges_the_clock():
@@ -74,8 +147,9 @@ def test_recorder_reads_but_never_charges_the_clock():
 # triggers freeze dumps
 # --------------------------------------------------------------------------- #
 
-def test_trigger_freezes_a_dump_with_the_recent_window():
-    clock, recorder = _recorder(lookback_kcycles=1)     # 1000-cycle window
+def test_trigger_freezes_a_dump_with_the_recent_window(monkeypatch):
+    monkeypatch.setattr(flight, "LOOKBACK_KCYCLES", 1)  # 1000-cycle window
+    clock, recorder = _recorder()
     _work(clock, 0, "ancient", 100)
     with clock.on_cpu(0):
         clock.charge(5000, "gap")                       # ages "ancient" out
@@ -95,8 +169,9 @@ def test_trigger_event_itself_reaches_the_trace():
     assert recorder.triggers == 1
 
 
-def test_max_dumps_caps_storage_but_triggers_keep_counting():
-    clock, recorder = _recorder(max_dumps=2)
+def test_max_dumps_caps_storage_but_triggers_keep_counting(monkeypatch):
+    monkeypatch.setattr(flight, "MAX_DUMPS", 2)
+    clock, recorder = _recorder()
     for i in range(5):
         recorder.trigger("again", str(i))
     assert recorder.triggers == 5

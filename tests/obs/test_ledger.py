@@ -213,10 +213,12 @@ def test_isa_run_lands_wholly_in_exec_interpret():
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_fleet_ledger_conserves_with_all_obs_planes_armed(n_cpus):
     from repro.fleet.scheduler import AnomalyConfig, SloConfig
-    from repro.obs.flight import FlightConfig
-    report, system = run_fleet(n_cpus=n_cpus, certificates=True,
-                               slo=SloConfig(), anomaly=AnomalyConfig(),
-                               flight=FlightConfig(), **SMP_PARAMS)
+    from repro.obs import install
+    report, system = run_fleet(
+        n_cpus=n_cpus, certificates=True, slo=SloConfig(),
+        anomaly=AnomalyConfig(),
+        instrument=lambda machine: install(machine.clock, flight=True),
+        **SMP_PARAMS)
     ledger = report.ledger
     check_ledger(ledger)
     assert ledger["conservation"]["ok"], ledger["conservation"]
@@ -259,12 +261,12 @@ def test_translation_summary_surfaces_in_fleet_report():
 
 
 def test_flight_dump_embeds_a_ledger_snapshot():
-    from repro.obs.flight import FlightConfig, FlightRecorder
+    from repro.obs.flight import FlightRecorder
     from repro.obs.metrics import MetricsRegistry
     from repro.obs.schema import check_flight_dump
     clock = CycleClock()
     clock.ensure_cpus(2)
-    recorder = FlightRecorder(clock, FlightConfig())
+    recorder = FlightRecorder(clock)
     clock.tracer = recorder
     clock.metrics = MetricsRegistry()
     with clock.on_cpu(0):

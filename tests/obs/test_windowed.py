@@ -1,19 +1,18 @@
-"""Windowed percentiles (satellite d): determinism, rotation, no-op cost.
+"""Windowed percentiles: determinism, rotation, one store per series.
 
 The SLO plane rests on :class:`~repro.obs.metrics.WindowedHistogram`
 being exactly reproducible — nearest-rank percentiles over cycle-aligned
-frames, integer in, integer out — and on the null registry's
-``observe_window`` costing nothing when observability is off.
+frames, integer in, integer out — and on the registry exporting the SLO
+monitor's own histograms rather than a second copy of every sample.
 """
-
-import tracemalloc
 
 import pytest
 
+from repro.fleet.scheduler import SloConfig, SloMonitor
+from repro.hw.cycles import CycleClock
 from repro.obs.metrics import (
     EwmaDetector,
     MetricsRegistry,
-    NULL_METRICS,
     WindowedHistogram,
 )
 
@@ -94,21 +93,26 @@ def test_rejects_nonpositive_geometry():
 # registry integration
 # --------------------------------------------------------------------------- #
 
-def test_registry_windowed_series_snapshot():
-    registry = MetricsRegistry()
-    registry.describe_window("lat", "latency", window_cycles=1000, windows=2)
-    for i, v in enumerate([10, 20, 30, 40]):
-        registry.observe_window("lat", v, i * 10, tenant="a")
-    registry.observe_window("lat", 99, 5, tenant="b")
-    assert registry.window_quantiles("lat", tenant="a")["p50"] == 20
-    snap = registry.snapshot()
-    assert "windowed" in snap
-    series = snap["windowed"]["lat"]
-    assert series["tenant=a"]["count"] == 4
-    assert series["tenant=b"]["p99"] == 99
-    # each series is self-describing: its window geometry rides along
-    assert series["tenant=a"]["window_cycles"] == 1000
-    assert series["tenant=a"]["windows"] == 2
+def test_registry_windowed_series_are_the_slo_monitors_histograms():
+    clock = CycleClock()
+    clock.metrics = registry = MetricsRegistry()
+    monitor = SloMonitor(clock, SloConfig(window_cycles=1000, windows=2))
+    for v in (10, 20, 30, 40):
+        clock.charge(10, "work")
+        monitor.observe("a", "service", v)
+    monitor.observe("b", "e2e", 99)
+    series = registry.windowed["erebor_fleet_latency_cycles"]
+    assert list(series) == ["metric=service,tenant=a", "metric=e2e,tenant=b"]
+    for (tenant, metric), hist in monitor.hists.items():
+        assert series[f"metric={metric},tenant={tenant}"] is hist
+    snap = registry.snapshot()["windowed"]["erebor_fleet_latency_cycles"]
+    for (tenant, metric), hist in monitor.hists.items():
+        # each series is self-describing: its window geometry rides along
+        assert snap[f"metric={metric},tenant={tenant}"] == {
+            **hist.quantiles(), "window_cycles": 1000, "windows": 2}
+    assert snap["metric=service,tenant=a"]["count"] == 4
+    assert snap["metric=service,tenant=a"]["p50"] == 20
+    assert snap["metric=e2e,tenant=b"]["p99"] == 99
 
 
 def test_plain_snapshot_shape_untouched_by_windowed_series():
@@ -117,30 +121,6 @@ def test_plain_snapshot_shape_untouched_by_windowed_series():
     assert snap["windowed"] == {}
     assert set(snap) == {"counters", "gauges", "histograms", "windowed",
                          "exemplars"}
-
-
-# --------------------------------------------------------------------------- #
-# obs-off is free (satellite d: zero-allocation no-op)
-# --------------------------------------------------------------------------- #
-
-def test_null_observe_window_is_a_zero_allocation_noop():
-    assert NULL_METRICS.observe_window("x", 1, 0, tenant="t") is None
-    assert NULL_METRICS.window_quantiles("x", tenant="t") == {}
-    assert NULL_METRICS.describe_window("x", "help") is None
-
-    # nothing is retained *per call*: 10,000 no-op calls may leave at
-    # most a constant few-byte interpreter-specialization residue — had
-    # each call retained even its kwargs dict, this would read ~640 KB
-    def residue(calls: int) -> int:
-        tracemalloc.start()
-        before = tracemalloc.get_traced_memory()[0]
-        for _ in range(calls):
-            NULL_METRICS.observe_window("x", 1, 0, tenant="t")
-        after = tracemalloc.get_traced_memory()[0]
-        tracemalloc.stop()
-        return after - before
-
-    assert max(residue(10), residue(10_000)) <= 64
 
 
 # --------------------------------------------------------------------------- #
