@@ -30,7 +30,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench.report import format_table, write_table_section
-from repro.fleet import AnomalyConfig, SloConfig, run_fleet
+from repro.fleet import SloConfig, run_fleet
 from repro.obs import install
 from repro.obs.hostprof import profile_fleet
 from repro.vm import MIB
@@ -53,7 +53,7 @@ def _arm_obs(machine) -> None:
 ARMED_PARAMS = dict(instrument=_arm_obs,
                     slo=SloConfig(queue_wait_p95=10**12,
                                   service_p95=10**12, e2e_p99=10**12),
-                    anomaly=AnomalyConfig())
+                    anomaly=True)
 
 #: acceptance bound on simulated wall-cycle overhead (design value: 0)
 MAX_OVERHEAD = 0.10

@@ -54,16 +54,16 @@ def main() -> None:
 
     # and the untrusted world never saw a record in the clear: replay the
     # fleet's sessions and check every client secret against the NIC log
+    from repro.apps.base import workload as make_workload
     from repro.fleet import LoadGenerator
     secrets = [s.secret for s in
                LoadGenerator(clients=CLIENTS, requests=1, seed=42,
-                             tenants=2).sessions()]
+                             tenants=2).sessions(make_workload("helloworld"))]
     print("host ever saw a record:",
           any(s in system.machine.vmm.observed_blob() for s in secrets))
     assert not any(s in system.machine.vmm.observed_blob() for s in secrets)
 
     # templates compose: you can also drive the pool by hand
-    from repro.apps.base import workload as make_workload
     template = SandboxTemplate.capture(system, make_workload("helloworld",
                                                              seed=7),
                                        name="manual-template")

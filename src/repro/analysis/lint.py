@@ -52,8 +52,8 @@ D8    unreferenced-def    a module-level function or class, or a method of
 D6 is retired: it guarded a module that no longer exists. Its ID is not
 reused.
 
-Findings can be grandfathered through :mod:`repro.analysis.ratchet`; the
-tree itself ships lint-clean.
+No finding can be waived: the tree ships lint-clean, and any finding
+fails the gate.
 """
 
 from __future__ import annotations
@@ -64,7 +64,7 @@ from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
-#: rule ID → short name (stable; referenced by the ratchet file and CI)
+#: rule ID → short name (stable; referenced by CI)
 RULES = {
     "D1": "wall-clock",
     "D2": "obs-read-only",
@@ -417,16 +417,13 @@ def unreferenced_defs(files: list[Path], root: Path) -> list[LintFinding]:
     return findings
 
 
-def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
-                                                   list[LintFinding]]:
-    """Lint files/trees; returns ``(kept, waived)`` after the ratchet.
+def lint_paths(paths: list) -> list[LintFinding]:
+    """Lint files/trees; returns every finding.
 
     ``paths`` may mix files and directories; directories are walked for
     ``*.py`` in sorted order so output ordering is deterministic. D8
     runs when the files sit inside a checkout's ``src/`` tree.
     """
-    from .ratchet import apply_ratchet
-
     files: list[Path] = []
     for p in paths:
         p = Path(p)
@@ -441,6 +438,4 @@ def lint_paths(paths: list, ratchet=None) -> tuple[list[LintFinding],
     if root is not None:
         findings.extend(unreferenced_defs(files, root))
         findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    if ratchet is None:
-        return findings, []
-    return apply_ratchet(findings, ratchet)
+    return findings

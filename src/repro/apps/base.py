@@ -68,6 +68,17 @@ class Workload(ABC):
         """A representative client request for benchmarking."""
         return b"default-request"
 
+    def fleet_request(self, secret: bytes, index: int,
+                      filler: bytes) -> bytes:
+        """Request ``index`` of one fleet client (see ``repro.fleet``).
+
+        ``secret`` is the client's plaintext the pool's scrub-verify
+        scans for after the session; ``filler`` is seeded random bytes.
+        This default suits apps that ignore their input; apps that parse
+        their request override it to embed ``secret`` where they read it.
+        """
+        return secret + b"|req-%d|" % index + filler
+
 
 REGISTRY: dict[str, type[Workload]] = {}
 

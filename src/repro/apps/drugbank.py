@@ -67,6 +67,11 @@ class DrugbankWorkload(Workload):
         wanted = [f"drug-{rng.randrange(N_RECORDS):05d}" for _ in range(n)]
         return ",".join(wanted).encode()
 
+    def fleet_request(self, secret: bytes, index: int,
+                      filler: bytes) -> bytes:
+        # the client's secret is its first query name
+        return secret + b"," + self.default_request()
+
     def serve(self, rt, request: bytes) -> bytes:
         names = request.decode().split(",")
         rng = random.Random(self.seed + 23)

@@ -64,6 +64,12 @@ class UnicornWorkload(Workload):
         return synth_log(self.seed + 31, max(int(self.events * self.scale), 500),
                          attack=True)
 
+    def fleet_request(self, secret: bytes, index: int,
+                      filler: bytes) -> bytes:
+        # the client's secret is the acting process of one extra event
+        return (b"-1,exec,%s,req-%d\n" % (secret, index)
+                + self.default_request())
+
     # ------------------------------------------------------------------ #
 
     def _sketch(self, edges: list[tuple[str, str, str]]) -> Counter:

@@ -54,6 +54,12 @@ class YoloWorkload(Workload):
         n = max(int(self.images * self.scale), 2)
         return rng.integers(0, 255, size=n * IMG * IMG, dtype=np.uint8).tobytes()
 
+    def fleet_request(self, secret: bytes, index: int,
+                      filler: bytes) -> bytes:
+        # the client's secret overwrites the first image's leading pixels
+        request = self.default_request()
+        return secret + request[len(secret):]
+
     # ------------------------------------------------------------------ #
 
     def _detect(self, image: np.ndarray) -> list[tuple[int, float]]:

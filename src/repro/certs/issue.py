@@ -158,8 +158,7 @@ class CertificateIssuer:
         if not scrub_record:
             raise CertificateError(
                 "scrub-evidence",
-                f"session {session.name!r} closed without a scrub record "
-                "(pool scrub_verify off?)")
+                f"session {session.name!r} closed without a scrub record")
 
         trace_id = session.trace_id
         if trace_id in index.by_trace:

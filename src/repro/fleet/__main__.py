@@ -27,14 +27,9 @@ import argparse
 import json
 import sys
 
-from .loadgen import run_fleet
+from .loadgen import TRACE_RING_CAPACITY, run_fleet
 
 EXPORTS = ("report", "bundle")
-
-#: ring capacity when request tracing is requested — a traced fleet run
-#: emits hundreds of thousands of events (the default 1<<17 ring would
-#: drop the oldest sessions and every tree would read "incomplete")
-TRACE_RING_CAPACITY = 1 << 19
 
 
 def _write_flight(args, recorder) -> None:
@@ -161,10 +156,6 @@ def main(argv: list[str] | None = None) -> int:
                          if args.slo_service_p95 is not None else 20_000_000),
             e2e_p99=(args.slo_e2e_p99
                      if args.slo_e2e_p99 is not None else 60_000_000))
-    anomaly = None
-    if args.anomaly:
-        from .scheduler import AnomalyConfig
-        anomaly = AnomalyConfig()
     admission = None
     if args.violate:
         from .admission import AdmissionConfig, TenantQuota
@@ -176,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
         requests=args.requests, pool_size=args.pool, tenants=args.tenants,
         seed=args.seed, scale=args.scale, n_cpus=args.cores,
         pool_config=pool_config, admission=admission,
-        slo=slo, anomaly=anomaly, flight=bool(args.flight_dump),
+        slo=slo, anomaly=args.anomaly, flight=bool(args.flight_dump),
         certificates=args.certificates, cert_dir=args.cert_dir,
         static_budget_admission=args.static_budget)
 

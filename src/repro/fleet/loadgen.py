@@ -32,26 +32,37 @@ from .scheduler import ClientSession, FleetScheduler
 from .template import SandboxTemplate
 
 
+#: seeded random bytes drawn for each request (see
+#: :meth:`~repro.apps.base.Workload.fleet_request`)
+FILLER_BYTES = 24
+
+#: tracer ring capacity for runs that index per-request span trees: a
+#: traced fleet run emits hundreds of thousands of records, and the
+#: default 1<<17 ring would drop the oldest sessions' trees
+TRACE_RING_CAPACITY = 1 << 19
+
+
 class LoadGenerator:
     """Seeded client population: identities, payloads, per-client secrets."""
 
     def __init__(self, *, clients: int, requests: int, seed: int = 2025,
-                 tenants: int = 2, filler_bytes: int = 24):
+                 tenants: int = 2):
         self.clients = clients
         self.requests = requests
         self.seed = seed
         self.tenants = max(tenants, 1)
-        self.filler_bytes = filler_bytes
 
-    def sessions(self) -> list[ClientSession]:
+    def sessions(self, work) -> list[ClientSession]:
+        """The client population; ``work`` shapes each request payload."""
         rng = random.Random(self.seed)
         out: list[ClientSession] = []
         for i in range(self.clients):
             secret = (f"client-{i}-secret-"
                       f"{rng.getrandbits(64):016x}").encode()
             payloads = [
-                secret + b"|req-%d|" % j
-                + bytes(rng.randrange(256) for _ in range(self.filler_bytes))
+                work.fleet_request(
+                    secret, j,
+                    bytes(rng.randrange(256) for _ in range(FILLER_BYTES)))
                 for j in range(self.requests)
             ]
             out.append(ClientSession(
@@ -229,10 +240,9 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
               admission: AdmissionConfig | None = None,
               pool_config: PoolConfig | None = None,
               memory_bytes: int = 768 * MIB, cma_bytes: int = 256 * MIB,
-              instrument=None, slo=None, anomaly=None,
+              instrument=None, slo=None, anomaly: bool = False,
               flight: bool = False, certificates: bool = False,
-              cert_dir=None, features=None,
-              static_budget_admission: bool = False
+              cert_dir=None, static_budget_admission: bool = False
               ) -> tuple[FleetReport, object]:
     """Run one multi-tenant fleet; returns ``(report, system)``.
 
@@ -244,9 +254,8 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     ``pool_config`` to turn on demand-driven pool autoscaling.
 
     ``slo`` (:class:`~repro.fleet.scheduler.SloConfig`) arms per-tenant
-    latency objectives, ``anomaly``
-    (:class:`~repro.fleet.scheduler.AnomalyConfig`) the EWMA exit/EMC
-    detectors, and ``flight`` installs a flight recorder (unless
+    latency objectives, ``anomaly`` the EWMA exit/EMC detectors, and
+    ``flight`` installs a flight recorder (unless
     ``instrument`` already armed a tracer) that freezes a black-box dump
     on any trigger. All three read the cycle clock but
     never charge it, so enabling them cannot move a seeded digest.
@@ -259,17 +268,15 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     through the platform authority directly and charges zero simulated
     cycles, so seeded report digests are identical with it on or off.
 
-    ``features`` (:class:`~repro.core.monitor.EreborFeatures`) is passed
-    through to :func:`~repro.core.boot.erebor_boot`. To run the
-    reference path that re-walks every access, clear
+    The CVM boots with every Erebor feature on. To run the reference
+    path that re-walks every access, clear
     ``machine.phys.walk_caches_enabled`` from ``instrument``; the seeded
     digests are identical either way.
 
     ``static_budget_admission`` plugs the boot-time V10
     :class:`~repro.analysis.absint.StaticBudget` into the admission
     config (see :mod:`repro.fleet.admission`): every tenant's EMC quota
-    is clamped to the image's proven per-request bound. Requires a
-    dataflow-verified boot.
+    is clamped to the image's proven per-request bound.
     """
     import repro.apps  # noqa: F401  (populates the workload registry)
 
@@ -281,7 +288,7 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     if flight and not machine.clock.tracer.enabled:
         from ..obs.flight import FlightRecorder
         machine.clock.tracer = FlightRecorder(machine.clock)
-    system = erebor_boot(machine, cma_bytes=cma_bytes, features=features)
+    system = erebor_boot(machine, cma_bytes=cma_bytes)
     clock = machine.clock
 
     # certificates attach the request's causal span tree: arm a tracer
@@ -289,7 +296,7 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
     # the clock only — arming never moves a seeded digest)
     if certificates and not clock.tracer.enabled:
         from ..obs.trace import Tracer
-        clock.tracer = Tracer(clock, capacity=1 << 19)
+        clock.tracer = Tracer(clock, capacity=TRACE_RING_CAPACITY)
 
     # an armed recorder retains one tuple per record; batch the host
     # collector for the duration so it doesn't rescan the ring hundreds
@@ -302,17 +309,13 @@ def run_fleet(*, workload: str = "llama.cpp", clients: int = 4,
         pool_size = len(pool.slots)
         config = admission or AdmissionConfig(queue_depth=clients)
         if static_budget_admission:
-            report = system.monitor.kernel_dataflow_report
-            if report is None:
-                raise ValueError(
-                    "static_budget_admission requires a dataflow-verified "
-                    "boot (EreborFeatures.dataflow_verifier)")
-            config.static_budget = report.budget
+            config.static_budget = \
+                system.monitor.kernel_dataflow_report.budget
         scheduler = FleetScheduler(system, pool, work,
                                    AdmissionController(config), n_cpus=n_cpus,
                                    slo=slo, anomaly=anomaly)
         sessions = LoadGenerator(clients=clients, requests=requests,
-                                 seed=seed, tenants=tenants).sessions()
+                                 seed=seed, tenants=tenants).sessions(work)
 
         serve_t0 = clock.cycles
         wall_t0 = clock.wall_cycles

@@ -101,17 +101,19 @@ class SloConfig:
 
     ``queue_wait`` and ``service`` are judged at p95, ``e2e`` (submit to
     finish, queue included) at p99, each over a cycle-time sliding
-    window, so a transient spike inside one window can breach while a
-    long-gone cold start cannot.
+    window (the :class:`WindowedHistogram` default: 4 frames of 2,000,000
+    cycles) once :data:`SLO_MIN_SAMPLES` samples are in, so a transient
+    spike inside one window can breach while a long-gone cold start
+    cannot.
     """
 
     queue_wait_p95: int | None = None
     service_p95: int | None = None
     e2e_p99: int | None = None
-    window_cycles: int = 2_000_000
-    windows: int = 4
-    #: quantiles are meaningless over a couple of samples; hold fire
-    min_samples: int = 4
+
+
+#: quantiles are meaningless over a couple of samples; hold fire
+SLO_MIN_SAMPLES = 4
 
 
 class SloMonitor:
@@ -148,8 +150,7 @@ class SloMonitor:
         key = (tenant, metric)
         hist = self.hists.get(key)
         if hist is None:
-            hist = self.hists[key] = WindowedHistogram(
-                self.config.window_cycles, self.config.windows)
+            hist = self.hists[key] = WindowedHistogram()
             metrics = self.clock.metrics
             if metrics.enabled:
                 metrics.windowed.setdefault(
@@ -158,7 +159,7 @@ class SloMonitor:
         hist.observe(value, cycle)
         attr, q, label = self.RULES[metric]
         threshold = getattr(self.config, attr)
-        if threshold is None or hist.count < self.config.min_samples:
+        if threshold is None or hist.count < SLO_MIN_SAMPLES:
             return
         observed = hist.quantile(q, cycle)
         if observed is None or observed <= threshold:
@@ -190,28 +191,14 @@ class SloMonitor:
                 "breaches": [dict(b) for b in self.breaches]}
 
 
-@dataclass
-class AnomalyConfig:
-    """EWMA anomaly detection over per-request exit/EMC rates."""
-
-    alpha: float = 0.3
-    threshold: float = 3.0
-    min_samples: int = 4
-    #: arm the offending tenant's §12 knobs on its first alert
-    arm: bool = True
-    #: the knobs armed (per tenant, via the monitor's mitigation router)
-    mitigation: MitigationConfig = field(
-        default_factory=lambda: MitigationConfig(
-            flush_on_exit=True, exit_rate_limit_per_sec=2000))
-
-
 class AnomalyMonitor:
     """Per-tenant EWMA baselines over exit and EMC rates.
 
     Every served request feeds two detectors keyed by tenant — sandbox
     exits per request and EMCs per request. A sample far above a
-    tenant's own baseline raises an alert and (when configured) arms
-    that tenant's §12 mitigation knobs through the monitor's
+    tenant's own baseline raises an alert and, on the tenant's first
+    alert, arms its §12 cache-flush and exit-rate-limit knobs through
+    the monitor's
     :class:`~repro.core.mitigations.TenantMitigationRouter` — the
     ROADMAP side-channel-budget item's sensing layer. Other tenants keep
     the default (usually absent) engine, so their cycle accounting never
@@ -220,10 +207,9 @@ class AnomalyMonitor:
 
     METRICS = ("exit_rate", "emc_rate")
 
-    def __init__(self, clock, monitor, config: AnomalyConfig):
+    def __init__(self, clock, monitor):
         self.clock = clock
         self.monitor = monitor
-        self.config = config
         self.detectors: dict[tuple[str, str], EwmaDetector] = {}
         self.alerts: list[dict] = []
         self.armed: list[str] = []
@@ -233,9 +219,7 @@ class AnomalyMonitor:
             key = (tenant, metric)
             det = self.detectors.get(key)
             if det is None:
-                det = self.detectors[key] = EwmaDetector(
-                    self.config.alpha, self.config.threshold,
-                    self.config.min_samples)
+                det = self.detectors[key] = EwmaDetector()
             if det.update(value):
                 self._alert(tenant, metric, value, det)
 
@@ -250,9 +234,10 @@ class AnomalyMonitor:
                                 baseline=round(det.mean, 6))
         self.clock.metrics.inc("erebor_fleet_anomalies_total",
                                tenant=tenant, metric=metric)
-        if self.config.arm and tenant not in self.armed:
+        if tenant not in self.armed:
             router = self.monitor.mitigation_router()
-            router.arm(tenant, self.config.mitigation)
+            router.arm(tenant, MitigationConfig(
+                flush_on_exit=True, exit_rate_limit_per_sec=2000))
             self.armed.append(tenant)
             self.clock.tracer.event("anomaly:arm", "anomaly",
                                     tenant=tenant, metric=metric)
@@ -271,7 +256,7 @@ class FleetScheduler:
     def __init__(self, system, pool: WarmPool, work,
                  controller: AdmissionController | None = None,
                  *, n_cpus: int = 1, slo: SloConfig | None = None,
-                 anomaly: AnomalyConfig | None = None):
+                 anomaly: bool = False):
         self.system = system
         self.monitor = system.monitor
         self.kernel = system.kernel
@@ -297,7 +282,7 @@ class FleetScheduler:
         #: per-tenant SLO / anomaly planes (None = feature off: no
         #: histograms allocated, no extra metrics series, digests frozen)
         self.slo = SloMonitor(self.clock, slo) if slo else None
-        self.anomaly = (AnomalyMonitor(self.clock, self.monitor, anomaly)
+        self.anomaly = (AnomalyMonitor(self.clock, self.monitor)
                         if anomaly else None)
 
     # ------------------------------------------------------------------ #

@@ -49,6 +49,8 @@ VE_VECTOR = 20
 PF_VECTOR = 14
 
 DEFAULT_HZ = 1000
+#: timer ticks a task runs before the scheduler picks the next one
+TIMESLICE_TICKS = 4
 
 #: interned trace-record names for the kernel's hot paths — dispatch
 #: runs tens of thousands of times per fleet run and must not mint a
@@ -91,7 +93,6 @@ class ExitPath:
 @dataclass
 class KernelConfig:
     hz: int = DEFAULT_HZ
-    timeslice_ticks: int = 4
 
 
 class GuestKernel:
@@ -263,7 +264,7 @@ class GuestKernel:
         for hook in self.tick_hooks:
             hook()
         self._ticks_on_current += 1
-        if self._ticks_on_current >= self.config.timeslice_ticks:
+        if self._ticks_on_current >= TIMESLICE_TICKS:
             self._pick_next()
         self.clock.charge(Cost.IRET, "irq")
         if task is not None:

@@ -150,23 +150,23 @@ def __getattr__(name: str):
     return value
 
 
-def install(clock, *, trace: bool = True, metrics: bool = True,
+def install(clock, *, trace: bool = True,
             capacity: int = DEFAULT_CAPACITY, flight: bool = False):
     """Attach observability to a clock; returns ``(tracer, registry)``.
 
-    With ``trace=False`` (or ``metrics=False``) the corresponding no-op
-    sink is left in place and returned, so callers can always use the
-    return values unconditionally. ``flight`` swaps the plain tracer for
-    a :class:`~repro.obs.flight.FlightRecorder` — a drop-in Tracer that
-    also counts per-CPU lane pushes and freezes a black-box dump, cut
-    from its own ring, on every trigger.
+    Always arms a fresh :class:`MetricsRegistry`. With ``trace=False``
+    the clock's current tracer is left in place and returned, so callers
+    can always use the return values unconditionally. ``flight`` swaps
+    the plain tracer for a :class:`~repro.obs.flight.FlightRecorder` — a
+    drop-in Tracer that also counts per-CPU lane pushes and freezes a
+    black-box dump, cut from its own ring, on every trigger.
     """
     if flight and trace:
         from .flight import FlightRecorder
         tracer = FlightRecorder(clock, capacity=capacity)
     else:
         tracer = Tracer(clock, capacity=capacity) if trace else clock.tracer
-    registry = MetricsRegistry() if metrics else clock.metrics
+    registry = MetricsRegistry()
     clock.tracer = tracer
     clock.metrics = registry
     return tracer, registry

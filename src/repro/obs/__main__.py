@@ -241,7 +241,7 @@ def main(argv: list[str] | None = None) -> int:
             fh.write(text)
         summary = (f"{args.workload}/{args.setting}: "
                    f"{run.clock.cycles:,} cycles, "
-                   f"{len(run.tracer.events) if run.tracer.enabled else 0} "
+                   f"{len(run.tracer.events)} "
                    f"trace events -> {args.out}")
         print(summary, file=sys.stderr)
     else:

@@ -25,13 +25,16 @@ callers use ``sort_keys=True``). Two same-seed runs must compare clean —
 ``divergent: false`` with every simulated section empty — which is what
 the ``perf-gate`` CI job asserts on every push.
 
-Host-plane quantities (seconds, TLB hit rates) appear in the report but never flip ``divergent``: they are noise-gated
-by :func:`gate_history` thresholds instead.
+Host-plane quantities (TLB hit rates) appear in the report but never
+flip ``divergent``. Host seconds are not compared here: they are
+noise-gated by :func:`gate_history` thresholds instead.
 """
 
 from __future__ import annotations
 
 import json
+
+from .trace import AUDIT
 
 #: report schema version
 DIFF_VERSION = 1
@@ -78,7 +81,7 @@ def _tenant_counters(metrics: dict) -> dict:
 def _audit_events(trace: dict) -> list:
     """The audit-chain records of a bundle's trace, in seq order."""
     return [e for e in (trace or {}).get("events", ())
-            if e.get("kind") == "AUDIT" or e.get("cat") == "audit"]
+            if e.get("kind") == AUDIT]
 
 
 def first_divergent_audit_seq(trace_a: dict, trace_b: dict):
@@ -180,8 +183,6 @@ def diff_bundles(a: dict, b: dict, *, label_a: str = "A",
         "first_divergent_audit_seq": audit_seq,
         # host-plane comparison: informational, never flips `divergent`
         "host": {
-            "seconds": {"a": meta_a.get("seconds", 0.0),
-                        "b": meta_b.get("seconds", 0.0)},
             "translation": {"a": led_a.get("translation", {}),
                             "b": led_b.get("translation", {})},
         },

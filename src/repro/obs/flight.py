@@ -3,11 +3,12 @@
 A :class:`FlightRecorder` is a :class:`~repro.obs.trace.Tracer` (every
 exporter, the profiler, and the bundle harness work on it unchanged)
 that also counts how many records each *lane* — each logical CPU, plus
-:data:`SERIAL` for serial sections — has pushed. It keeps no ring of its
-own: when a trigger fires — a security violation, a C1–C8 check
-failure, an SLO breach (see :meth:`~repro.obs.trace.NullTracer.trigger`
-call sites in ``core/monitor.py``, ``core/sandbox.py``,
-``fleet/pool.py`` and the SLO monitor) — the recorder splits the
+:data:`~repro.hw.cycles.SERIAL_LANE` for serial sections — has
+pushed. It keeps no ring of its own: when a trigger fires — a security
+violation, a C1–C8 check failure, an SLO breach (see
+:meth:`~repro.obs.trace.NullTracer.trigger` call sites in
+``core/monitor.py``, ``core/sandbox.py``, ``fleet/pool.py`` and the SLO
+monitor) — the recorder splits the
 tracer's ring by lane, keeps each lane's last :data:`LANE_CAPACITY`
 records that end inside the last :data:`LOOKBACK_KCYCLES` kilocycles,
 and freezes them into a :class:`FlightDump`: a self-describing JSON
@@ -29,10 +30,9 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from pathlib import Path
 
+from ..hw.cycles import SERIAL_LANE
 from .trace import DEFAULT_CAPACITY, SPAN, TraceEvent, Tracer
 
-#: lane key used for records charged in serial sections (no executing CPU)
-SERIAL = -1
 #: records a dump keeps per lane; small by design — recent history only
 LANE_CAPACITY = 4096
 #: dump window: keep records ending within the last N kilocycles
@@ -92,7 +92,7 @@ class FlightRecorder(Tracer):
         events_by_cpu: dict[int, list[TraceEvent]] = {}
         dropped_by_cpu: dict[int, int] = {}
         for cpu, pushed in self.lane_pushes.items():
-            lane = SERIAL if cpu is None else cpu
+            lane = SERIAL_LANE if cpu is None else cpu
             recent = by_lane.get(cpu, [])[-LANE_CAPACITY:]
             events_by_cpu[lane] = [e for e in recent if e[4] >= window_start]
             dropped_by_cpu[lane] = max(0, pushed - LANE_CAPACITY)
@@ -143,7 +143,7 @@ class FlightDump:
     def to_dict(self) -> dict:
         per_cpu = {}
         for cpu, events in sorted(self.events_by_cpu.items()):
-            key = "serial" if cpu == SERIAL else str(cpu)
+            key = "serial" if cpu == SERIAL_LANE else str(cpu)
             per_cpu[key] = {
                 "events": [e.to_dict() for e in events],
                 "dropped": self.dropped_by_cpu.get(cpu, 0),
@@ -179,12 +179,12 @@ class FlightDump:
         }]
         lanes = sorted(self.events_by_cpu)
         for cpu in lanes:
-            tid = 0 if cpu == SERIAL else cpu + 1
-            name = "serial" if cpu == SERIAL else f"cpu{cpu}"
+            tid = 0 if cpu == SERIAL_LANE else cpu + 1
+            name = "serial" if cpu == SERIAL_LANE else f"cpu{cpu}"
             events.append({"name": "thread_name", "ph": "M", "pid": 1,
                            "tid": tid, "args": {"name": name}})
         for cpu in lanes:
-            tid = 0 if cpu == SERIAL else cpu + 1
+            tid = 0 if cpu == SERIAL_LANE else cpu + 1
             for e in self.events_by_cpu[cpu]:
                 args = dict(e.args)
                 args["cycles_begin"] = e.begin
@@ -219,7 +219,7 @@ def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
 
     Busy time is the interval *union* of span events per core (nested
     spans never double-count), clipped to the window. Serial-section
-    records (cpu ``SERIAL``) are excluded: barrier work belongs to no
+    records (cpu ``SERIAL_LANE``) are excluded: barrier work belongs to no
     single core.
     """
     span = max(end - start, 1)
@@ -227,7 +227,7 @@ def utilization_timeline(events_by_cpu: dict[int, list[TraceEvent]],
     width = span / buckets
     timeline: dict[str, list[float]] = {}
     for cpu, events in sorted(events_by_cpu.items()):
-        if cpu == SERIAL:
+        if cpu == SERIAL_LANE:
             continue
         intervals = sorted(
             (max(e.begin, start), min(e.end, end))

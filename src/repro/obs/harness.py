@@ -41,7 +41,7 @@ class ObservedRun:
 def run_observed(workload: str = "helloworld", setting: str = "erebor", *,
                  scale: float = 0.25, seed: int = 2025,
                  capacity: int = DEFAULT_CAPACITY,
-                 trace: bool = True, flight: bool = False) -> ObservedRun:
+                 flight: bool = False) -> ObservedRun:
     """Run one workload with tracing + metrics attached; returns the run.
 
     ``flight`` installs a :class:`~repro.obs.flight.FlightRecorder`
@@ -53,12 +53,10 @@ def run_observed(workload: str = "helloworld", setting: str = "erebor", *,
     state: dict = {}
 
     def instrument(machine) -> None:
-        tracer, registry = install(machine.clock, trace=trace,
-                                   capacity=capacity, flight=flight)
-        if tracer.enabled:
-            # keep the root span open for the whole run; finish() closes it
-            tracer.span(f"run:{workload}", "run",
-                        setting=setting).__enter__()
+        tracer, registry = install(machine.clock, capacity=capacity,
+                                   flight=flight)
+        # keep the root span open for the whole run; finish() closes it
+        tracer.span(f"run:{workload}", "run", setting=setting).__enter__()
         state["tracer"] = tracer
         state["registry"] = registry
         state["clock"] = machine.clock
@@ -77,16 +75,11 @@ def export_bundle(run: ObservedRun) -> dict:
     from .export import trace_json
     from .profile import collapsed_stacks, total_attributed
 
-    if run.tracer.enabled:
-        trace = trace_json(run.tracer)
-        profile = {
-            "total_cycles": total_attributed(run.tracer),
-            "collapsed": collapsed_stacks(run.tracer),
-        }
-    else:
-        trace = {"clock": "simulated-cycles", "capacity": 0,
-                 "dropped": 0, "events": []}
-        profile = {"total_cycles": 0, "collapsed": []}
+    trace = trace_json(run.tracer)
+    profile = {
+        "total_cycles": total_attributed(run.tracer),
+        "collapsed": collapsed_stacks(run.tracer),
+    }
 
     from .ledger import capture_ledger
 

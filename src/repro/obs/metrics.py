@@ -24,8 +24,8 @@ from bisect import bisect_left
 DEFAULT_BUCKETS = (250, 700, 1300, 2500, 5000, 10_000, 30_000,
                    100_000, 1_000_000)
 
-#: default sliding-window geometry for windowed histograms
-DEFAULT_WINDOW_CYCLES = 1_000_000
+#: sliding-window geometry of windowed histograms (the SLO monitor's)
+DEFAULT_WINDOW_CYCLES = 2_000_000
 DEFAULT_WINDOWS = 4
 
 

@@ -43,7 +43,6 @@ TRACE_ID_LEN = 16
 #: span names that must appear in a complete session trace (in causal
 #: order): admission decision, per-request execution, channel response
 REQUIRED_STAGES = ("fleet:admit", "fleet:request", "channel:response")
-_REQUIRED_STAGES = REQUIRED_STAGES   # historical alias
 
 
 def mint_trace_id(seed: int, name: str) -> str:
@@ -232,7 +231,7 @@ class RequestTraceIndex:
         """
         names = {node.name for root in self.tree(query)
                  for node in root.walk()}
-        return all(stage in names for stage in _REQUIRED_STAGES)
+        return all(stage in names for stage in REQUIRED_STAGES)
 
     def tree_payload(self, query: str) -> list[dict]:
         """The canonical (JSON-native) form of one request's tree.

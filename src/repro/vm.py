@@ -30,10 +30,9 @@ GIB = 1024 * MIB
 
 @dataclass
 class MachineConfig:
-    """Knobs mirroring the paper's CVM assignment (8 vCPU, 24 GB)."""
+    """Knobs mirroring the paper's CVM assignment (24 GB, scaled down)."""
 
     memory_bytes: int = 4 * GIB          # scaled-down default; benches override
-    vcpus: int = 8                        # modelled for thread-level parallelism
     hz: int = 1000
     td: bool = True                       # confidential (TDX) vs plain guest
     platform: str = "tdx"

@@ -52,7 +52,7 @@ def test_acquire_release_cycle(system, template):
 
 
 def test_dead_slot_is_replaced_by_fresh_fork(system, template):
-    pool = WarmPool(system, template, PoolConfig(size=2, low_watermark=1))
+    pool = WarmPool(system, template, PoolConfig(size=2))
     slot = pool.acquire()
     slot.instance.sandbox.kill("test violation")
     pool.release(slot)

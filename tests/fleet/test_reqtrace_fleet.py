@@ -11,10 +11,11 @@ import json
 
 import pytest
 
+from repro.apps.base import workload as make_workload
 from repro.core.channel import trace_aad
 from repro.crypto import SealedSession
 from repro.fleet import SandboxTemplate, WarmPool, run_fleet
-from repro.fleet.loadgen import LoadGenerator
+from repro.fleet.loadgen import TRACE_RING_CAPACITY, LoadGenerator
 from repro.fleet.pool import PoolConfig
 from repro.fleet.scheduler import SloConfig
 from repro.obs import install
@@ -29,7 +30,8 @@ def traced_fleet(slo=None, **params):
     state: dict = {}
 
     def instrument(machine):
-        tracer, _registry = install(machine.clock, capacity=1 << 19)
+        tracer, _registry = install(machine.clock,
+                                    capacity=TRACE_RING_CAPACITY)
         state.update(tracer=tracer)
 
     report, system = run_fleet(instrument=instrument, slo=slo, **params)
@@ -64,7 +66,8 @@ def test_trace_ids_are_minted_deterministically(eight_tenant):
     population = LoadGenerator(clients=EIGHT_TENANT["clients"],
                                requests=EIGHT_TENANT["requests"],
                                seed=EIGHT_TENANT["seed"],
-                               tenants=EIGHT_TENANT["tenants"]).sessions()
+                               tenants=EIGHT_TENANT["tenants"]).sessions(
+        make_workload(EIGHT_TENANT["workload"]))
     assert report.traces == {
         s.name: mint_trace_id(s.seed, s.name) for s in population}
 

@@ -6,8 +6,6 @@ per-request ceiling, the scheduler meters against that ceiling, and the
 proven rate bound dominates every observed runtime rate (soundness).
 """
 
-import pytest
-
 from repro.analysis.absint import StaticBudget
 from repro.fleet import (
     AdmissionConfig,
@@ -80,14 +78,6 @@ def test_budget_blind_admission_unchanged():
 # --------------------------------------------------------------------------- #
 # end-to-end fleet behaviour
 # --------------------------------------------------------------------------- #
-
-def test_static_budget_admission_requires_dataflow_boot():
-    from repro.core.monitor import EreborFeatures
-    with pytest.raises(ValueError, match="dataflow-verified boot"):
-        run_fleet(workload="helloworld", clients=1, requests=1,
-                  features=EreborFeatures(dataflow_verifier=False),
-                  static_budget_admission=True)
-
 
 def test_fleet_wires_the_boot_proof_into_admission():
     report, system = run_fleet(workload="helloworld", clients=2,

@@ -28,12 +28,13 @@ from repro.obs.diff import (
 )
 from repro.obs.ledger import append_history, load_history
 from repro.obs.schema import check_diff_report
+from repro.obs.trace import AUDIT
 
 
 def _bundle(*, cycles=1000, planes=None, collapsed=None, tenants=None,
             audit_head="aa" * 32, audits=None):
     """A minimal synthetic obs bundle."""
-    events = [{"name": f"audit:{kind}", "cat": "audit", "kind": "AUDIT",
+    events = [{"name": f"audit:{kind}", "cat": "audit", "kind": AUDIT,
                "begin": i * 10, "end": i * 10, "depth": 0, "path": [],
                "args": {"detail": detail}, "cpu": None}
               for i, (kind, detail) in enumerate(audits or [])]
@@ -77,6 +78,13 @@ def test_identical_bundles_diff_clean():
                     "tenant_deltas", "digest_mismatches"):
         assert report[section] == []
     assert report["first_divergent_audit_seq"] is None
+
+
+def test_host_block_holds_only_host_plane_fields():
+    """``meta.seconds`` is simulated (cycles / clock rate), not host time:
+    the host block must not file it next to the host-plane fields."""
+    report = diff_bundles(_bundle(cycles=500), _bundle(cycles=900))
+    assert set(report["host"]) == {"translation"}
 
 
 def test_diff_is_deterministic_bytes():

@@ -11,10 +11,10 @@ import json
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.hw.cycles import CycleClock
+from repro.hw.cycles import SERIAL_LANE, CycleClock
 from repro.obs import flight
 from repro.obs.export import chrome_trace, prometheus_text, trace_json
-from repro.obs.flight import SERIAL, FlightRecorder, utilization_timeline
+from repro.obs.flight import FlightRecorder, utilization_timeline
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.schema import check_flight_dump
 from repro.obs.trace import NULL_TRACER, SPAN, TraceEvent, Tracer
@@ -51,11 +51,11 @@ def test_events_land_in_the_executing_cpus_ring():
     clock.tracer.event("serial-note", cat="test")   # no CPU scope
     recorder.trigger("manual", "")
     lanes = recorder.dumps[0].events_by_cpu
-    assert list(lanes) == [SERIAL, 0, 1]
+    assert list(lanes) == [SERIAL_LANE, 0, 1]
     assert _names(lanes[0]) == ["a"]
     assert _names(lanes[1]) == ["b"]
     # the trigger's own instant event lands in the serial lane too
-    assert _names(lanes[SERIAL]) == ["serial-note", "flight:manual"]
+    assert _names(lanes[SERIAL_LANE]) == ["serial-note", "flight:manual"]
     # the tracer ring is the only store, in commit order
     assert _names(recorder.events) == ["a", "b", "serial-note",
                                        "flight:manual"]
@@ -70,14 +70,14 @@ def test_rings_are_bounded_and_count_drops(monkeypatch):
     dump = recorder.dumps[0]
     assert _names(dump.events_by_cpu[0]) == ["s6", "s7", "s8", "s9"]
     assert dump.dropped_by_cpu[0] == 6
-    assert dump.dropped_by_cpu[SERIAL] == 0
+    assert dump.dropped_by_cpu[SERIAL_LANE] == 0
     assert dump.to_dict()["per_cpu"]["0"]["dropped"] == 6
     # the cap bounds the dump, not the tracer ring
     assert len(recorder.events) == 11
 
 
 def _lane(event) -> int:
-    return SERIAL if event.cpu is None else event.cpu
+    return SERIAL_LANE if event.cpu is None else event.cpu
 
 
 def _expected_lanes(pushed, capacity, cap, window_start):
@@ -240,11 +240,11 @@ def test_utilization_timeline_busy_fractions():
     serial = TraceEvent("s", "t", "span", begin=0, end=1000, depth=0,
                         path=("s",), cpu=None)
     timeline = utilization_timeline({0: [busy], 1: [idle_then_busy],
-                                     SERIAL: [serial]},
+                                     SERIAL_LANE: [serial]},
                                     0, 1000, buckets=2)
     assert timeline["cpus"]["0"] == [1.0, 0.0]
     assert timeline["cpus"]["1"] == [0.0, 1.0]
-    assert str(SERIAL) not in timeline["cpus"]   # barrier work: no lane
+    assert str(SERIAL_LANE) not in timeline["cpus"]  # barrier: no lane
     assert timeline["bucket_cycles"] == 500.0
 
 

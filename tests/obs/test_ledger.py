@@ -212,11 +212,11 @@ def test_isa_run_lands_wholly_in_exec_interpret():
 
 @pytest.mark.parametrize("n_cpus", [1, 2, 4])
 def test_fleet_ledger_conserves_with_all_obs_planes_armed(n_cpus):
-    from repro.fleet.scheduler import AnomalyConfig, SloConfig
+    from repro.fleet.scheduler import SloConfig
     from repro.obs import install
     report, system = run_fleet(
         n_cpus=n_cpus, certificates=True, slo=SloConfig(),
-        anomaly=AnomalyConfig(),
+        anomaly=True,
         instrument=lambda machine: install(machine.clock, flight=True),
         **SMP_PARAMS)
     ledger = report.ledger

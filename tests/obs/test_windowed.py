@@ -11,6 +11,8 @@ import pytest
 from repro.fleet.scheduler import SloConfig, SloMonitor
 from repro.hw.cycles import CycleClock
 from repro.obs.metrics import (
+    DEFAULT_WINDOW_CYCLES,
+    DEFAULT_WINDOWS,
     EwmaDetector,
     MetricsRegistry,
     WindowedHistogram,
@@ -96,7 +98,7 @@ def test_rejects_nonpositive_geometry():
 def test_registry_windowed_series_are_the_slo_monitors_histograms():
     clock = CycleClock()
     clock.metrics = registry = MetricsRegistry()
-    monitor = SloMonitor(clock, SloConfig(window_cycles=1000, windows=2))
+    monitor = SloMonitor(clock, SloConfig())
     for v in (10, 20, 30, 40):
         clock.charge(10, "work")
         monitor.observe("a", "service", v)
@@ -109,7 +111,8 @@ def test_registry_windowed_series_are_the_slo_monitors_histograms():
     for (tenant, metric), hist in monitor.hists.items():
         # each series is self-describing: its window geometry rides along
         assert snap[f"metric={metric},tenant={tenant}"] == {
-            **hist.quantiles(), "window_cycles": 1000, "windows": 2}
+            **hist.quantiles(), "window_cycles": DEFAULT_WINDOW_CYCLES,
+            "windows": DEFAULT_WINDOWS}
     assert snap["metric=service,tenant=a"]["count"] == 4
     assert snap["metric=service,tenant=a"]["p50"] == 20
     assert snap["metric=e2e,tenant=b"]["p99"] == 99
